@@ -41,9 +41,6 @@ let lint_file ~issued ~ignore_dates path =
           findings
       end
 
-exception Abort of string
-exception Shard_stop
-
 type tally = {
   counts : (string, int) Hashtbl.t;
   mutable nc : int;
@@ -63,9 +60,7 @@ let merge_tally dst src =
         (v + Option.value ~default:0 (Hashtbl.find_opt dst.counts k)))
     src.counts
 
-(* One certificate through the linter, behind the error boundary.
-   [record] raises Abort (sequential) or Shard_stop (parallel); both
-   must pass through untouched. *)
+(* One certificate through the linter, behind the error boundary. *)
 let lint_one ~ignore_dates t record index (e : Ctlog.Dataset.entry) =
   t.total <- t.total + 1;
   (* This path runs the linter only, so the slow-cert log's dominating
@@ -89,8 +84,6 @@ let lint_one ~ignore_dates t record index (e : Ctlog.Dataset.entry) =
               (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts f.Lint.lint.Lint.name)))
           findings
       end
-  | exception (Abort _ as ex) -> raise ex
-  | exception (Shard_stop as ex) -> raise ex
   | exception exn when Faults.Isolation.enabled () ->
       record ~index ~der:e.Ctlog.Dataset.cert.X509.Certificate.der
         (Faults.Error.of_exn ~stage:"lint" exn)
@@ -139,149 +132,90 @@ let lint_corpus ~scale ~seed ~ignore_dates (fault : Fault_cli.t) =
           (fun k v -> Hashtbl.replace t.counts k v)
           p.Unicert.Pipeline.lints;
         t
-    | None -> (
-    match fault.Fault_cli.fetch with
-    | Some cfg ->
-        (* Fetch source: retrieve the corpus from simulated CT logs
-           (parallelism lives in the fetch), then tally the delivered
-           stream in index order. *)
-        let cfg =
-          { cfg with
-            Ctlog.Fetch.breaker_threshold =
-              policy.Faults.Policy.breaker_threshold }
-        in
-        let items, covs =
-          Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop:fault.Fault_cli.drop
-            ?checkpoint:policy.Faults.Policy.checkpoint_file
-            ~resume:fault.Fault_cli.resume ~jobs cfg
-        in
-        coverage := covs;
-        let quarantine =
-          Option.map
-            (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-            policy.Faults.Policy.quarantine_dir
-        in
-        let t = fresh_tally () in
-        let record ~index ~der error =
-          t.faulted <- t.faulted + 1;
-          Faults.Error.observe error;
-          Option.iter (fun q -> Faults.Quarantine.record q ~index ~error ~der) quarantine;
-          if policy.Faults.Policy.fail_fast then
-            raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-          match policy.Faults.Policy.max_errors with
-          | Some m when t.faulted >= m ->
-              raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-          | _ -> ()
-        in
-        (try
-           List.iter
-             (fun item ->
-               match item with
-               | Ctlog.Fetch.Got (index, e) ->
-                   lint_one ~ignore_dates t record index e
-               | Ctlog.Fetch.Undecodable (index, der, error) ->
-                   record ~index ~der error)
-             items
-         with Abort reason -> aborted := Some reason);
-        Option.iter Faults.Quarantine.close quarantine;
-        t
     | None ->
-    if jobs > 1 && scale > 1 then begin
-      (* Parallel pass: contiguous shards, per-shard tallies merged in
-         index order — same stdout as the sequential pass for every
-         jobs value (on a completed run). *)
-      Ctlog.Dataset.prewarm ();
-      Faults.Error.prewarm ();
-      Faults.Breaker.prewarm ();
-      Faults.Injector.prewarm ();
-      Faults.Quarantine.prewarm ();
-      let stop_flag = Atomic.make false in
-      let global_errors = Atomic.make 0 in
-      let abort_lock = Mutex.create () in
-      let set_abort reason =
-        Mutex.protect abort_lock (fun () ->
-            if !aborted = None then aborted := Some reason);
-        Atomic.set stop_flag true
-      in
-      let nshards = List.length (Par.shards ~jobs scale) in
-      let parts =
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi ->
-            let t = fresh_tally () in
-            let quarantine =
-              Option.map
-                (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-                policy.Faults.Policy.quarantine_dir
-            in
-            let record ~index ~der error =
-              t.faulted <- t.faulted + 1;
-              Faults.Error.observe error;
-              Option.iter
-                (fun q -> Faults.Quarantine.record q ~index ~error ~der)
-                quarantine;
-              let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-              if policy.Faults.Policy.fail_fast then begin
-                set_abort
-                  (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-                raise Shard_stop
-              end;
-              match policy.Faults.Policy.max_errors with
-              | Some m when seen >= m ->
-                  set_abort
-                    (Printf.sprintf "max-errors: %d errors reached the limit" m);
-                  raise Shard_stop
-              | _ -> ()
-            in
-            Fun.protect
-              ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-              (fun () ->
-                try
-                  Ctlog.Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator
-                    ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-                      if Atomic.get stop_flag then raise Shard_stop;
-                      match delivery with
-                      | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                          record ~index ~der error
-                      | Ctlog.Dataset.Entry e ->
-                          lint_one ~ignore_dates t record index e)
-                with Shard_stop -> ());
-            t)
-      in
-      (match policy.Faults.Policy.quarantine_dir with
-      | Some dir ->
-          ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-      | None -> ());
-      let t = fresh_tally () in
-      List.iter (merge_tally t) parts;
-      t
-    end
-    else begin
-      let quarantine =
-        Option.map
-          (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-          policy.Faults.Policy.quarantine_dir
-      in
-      let t = fresh_tally () in
-      let record ~index ~der error =
-        t.faulted <- t.faulted + 1;
-        Faults.Error.observe error;
-        Option.iter (fun q -> Faults.Quarantine.record q ~index ~error ~der) quarantine;
-        if policy.Faults.Policy.fail_fast then
-          raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-        match policy.Faults.Policy.max_errors with
-        | Some m when t.faulted >= m ->
-            raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-        | _ -> ()
-      in
-      (try
-         Ctlog.Dataset.iter_deliveries ~scale ?mutator
-           ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-             match delivery with
-             | Ctlog.Dataset.Corrupt { der; error; _ } -> record ~index ~der error
-             | Ctlog.Dataset.Entry e -> lint_one ~ignore_dates t record index e)
-       with Abort reason -> aborted := Some reason);
-      Option.iter Faults.Quarantine.close quarantine;
-      t
-    end)
+        (* Fetch source: retrieve the corpus from simulated CT logs
+           (the fetch has its own parallelism), then tally it shard by
+           shard like a generated one. *)
+        let items =
+          Option.map
+            (fun cfg ->
+              let cfg =
+                { cfg with
+                  Ctlog.Fetch.breaker_threshold =
+                    policy.Faults.Policy.breaker_threshold }
+              in
+              let items, covs =
+                Ctlog.Fetch.corpus ~scale ~seed ?mutator
+                  ~drop:fault.Fault_cli.drop
+                  ?checkpoint:policy.Faults.Policy.checkpoint_file
+                  ~resume:fault.Fault_cli.resume ~jobs cfg
+              in
+              coverage := covs;
+              Array.of_list items)
+            fault.Fault_cli.fetch
+        in
+        (* Contiguous shards, per-shard tallies merged in index order:
+           the same stdout for every jobs value (on a completed run). *)
+        Ctlog.Dataset.prewarm ();
+        Faults.Error.prewarm ();
+        Faults.Breaker.prewarm ();
+        Faults.Injector.prewarm ();
+        Faults.Quarantine.prewarm ();
+        let budget = Faults.Policy.budget policy ~spent:0 in
+        let parts =
+          Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi ->
+              let t = fresh_tally () in
+              let quarantine =
+                Option.map
+                  (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
+                  policy.Faults.Policy.quarantine_dir
+              in
+              let record ~index ~der error =
+                t.faulted <- t.faulted + 1;
+                Faults.Error.observe error;
+                Option.iter
+                  (fun q -> Faults.Quarantine.record q ~index ~error ~der)
+                  quarantine;
+                Faults.Policy.charge budget error
+              in
+              let deliver item =
+                Faults.Policy.check budget;
+                match item with
+                | Ctlog.Fetch.Got (index, e) -> lint_one ~ignore_dates t record index e
+                | Ctlog.Fetch.Undecodable (index, der, error) -> record ~index ~der error
+              in
+              Fun.protect
+                ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
+                (fun () ->
+                  try
+                    match items with
+                    | Some items ->
+                        Array.iter
+                          (fun item ->
+                            let i = Ctlog.Fetch.item_index item in
+                            if i >= lo && i < hi then deliver item)
+                          items
+                    | None ->
+                        Ctlog.Dataset.iter_deliveries ~scale ~start:lo ~stop:hi
+                          ?mutator ~drop:fault.Fault_cli.drop ~seed
+                          (fun index -> function
+                            | Ctlog.Dataset.Corrupt { der; error; _ } ->
+                                deliver (Ctlog.Fetch.Undecodable (index, der, error))
+                            | Ctlog.Dataset.Entry e ->
+                                deliver (Ctlog.Fetch.Got (index, e)))
+                  with Faults.Policy.Stop -> ());
+              t)
+        in
+        (match policy.Faults.Policy.quarantine_dir with
+        | Some dir ->
+            ignore
+              (Faults.Quarantine.merge_shards ~dir ~run_seed:seed
+                 ~shards:(List.length parts))
+        | None -> ());
+        aborted := Faults.Policy.aborted budget;
+        let t = fresh_tally () in
+        List.iter (merge_tally t) parts;
+        t
   in
   Printf.printf "linted %d generated Unicerts: %d noncompliant (%.2f%%)\n" t.total t.nc
     (100.0 *. float_of_int t.nc /. float_of_int t.total);

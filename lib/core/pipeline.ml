@@ -514,12 +514,6 @@ let with_profiling ~index f =
   in
   f ~timer ~note_aggregate
 
-let process t ~index (entry : Ctlog.Dataset.entry) =
-  with_profiling ~index (fun ~timer ~note_aggregate ->
-      let row, nc = row_of_entry ~timer entry ~index in
-      note_aggregate (fun () ->
-          absorb_row t ~issuer:entry.Ctlog.Dataset.issuer row nc))
-
 let fresh ~scale ~seed =
   {
     scale;
@@ -553,15 +547,6 @@ let fresh ~scale ~seed =
     coverage = [];
   }
 
-(* --- the per-certificate error boundary ----------------------------- *)
-
-exception Abort of string
-
-(* Raised inside a worker domain when another shard aborted the run (or
-   this one hit the global error budget); unwinds the shard loop so the
-   domain can be joined. *)
-exception Shard_stop
-
 (* A fault is a point on the trace timeline, not a span: the
    certificate it belongs to never completed one. *)
 let trace_fault ~index error =
@@ -572,105 +557,8 @@ let trace_fault ~index error =
           ("index", Obs.Trace.Int index) ]
       "fault"
 
-let record_fault t policy quarantine ~index ~der error =
-  let f = t.faults in
-  f.fault_errors <- f.fault_errors + 1;
-  bump f.by_class (Faults.Error.class_name error);
-  Faults.Error.observe error;
-  trace_fault ~index error;
-  (match quarantine with
-  | Some q ->
-      Faults.Quarantine.record q ~index ~error ~der;
-      f.quarantined <- f.quarantined + 1
-  | None -> ());
-  if policy.Faults.Policy.fail_fast then
-    raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-  match policy.Faults.Policy.max_errors with
-  | Some m when f.fault_errors >= m ->
-      raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-  | _ -> ()
-
-(* [record] is how faults reach the aggregate: the sequential path binds
-   it to {!record_fault} (raises [Abort]); each parallel shard binds a
-   closure over its own part and the shared error budget (raises
-   [Shard_stop]).  Both control exceptions must pass through untouched. *)
-let process_entry t policy ~record index (entry : Ctlog.Dataset.entry) =
-  let guarded () =
-    match policy.Faults.Policy.timeout_seconds with
-    | Some s ->
-        Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s (fun () ->
-            process t ~index entry)
-    | None -> process t ~index entry
-  in
-  match guarded () with
-  | () -> ()
-  | exception (Abort _ as e) -> raise e
-  | exception (Shard_stop as e) -> raise e
-  | exception Faults.Watchdog.Timed_out { stage; seconds } ->
-      record ~index
-        ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        (Faults.Error.Timeout { stage; seconds })
-  | exception e when Faults.Isolation.enabled () ->
-      record ~index
-        ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        (Faults.Error.of_exn ~stage:"process" e)
-
 let snapshot_crashes () =
   List.fold_left (fun acc (_, n, _) -> acc + n) 0 (Lint.Registry.fault_snapshot ())
-
-let run_sequential ~scale ~seed ~policy ~mutator ~drop ~resume =
-  (* Resume only continues a checkpoint for the same run parameters; a
-     stale file for a different (scale, seed) starts fresh. *)
-  let t, start =
-    match
-      if resume then
-        Option.bind policy.Faults.Policy.checkpoint_file Faults.Checkpoint.load
-      else None
-    with
-    | Some c
-      when c.Faults.Checkpoint.scale = scale && c.Faults.Checkpoint.seed = seed ->
-        let t : t = c.Faults.Checkpoint.state in
-        t.faults.resumed_at <- c.Faults.Checkpoint.next_index;
-        t.faults.aborted <- None;
-        (t, c.Faults.Checkpoint.next_index)
-    | _ -> (fresh ~scale ~seed, 0)
-  in
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  let crashes_before = snapshot_crashes () in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let save_checkpoint next_index =
-    match policy.Faults.Policy.checkpoint_file with
-    | Some file ->
-        Faults.Checkpoint.save file
-          { Faults.Checkpoint.scale; seed; next_index; state = t };
-        t.faults.checkpoints_saved <- t.faults.checkpoints_saved + 1
-    | None -> ()
-  in
-  let every = max 1 policy.Faults.Policy.checkpoint_every in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Ctlog.Dataset.iter_deliveries ~scale ~start ?mutator ~drop ~seed
-              (fun index delivery ->
-                (match delivery with
-                | Ctlog.Dataset.Entry e ->
-                    process_entry t policy
-                      ~record:(record_fault t policy quarantine)
-                      index e
-                | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                    record_fault t policy quarantine ~index ~der error);
-                if (index + 1) mod every = 0 then save_checkpoint (index + 1)));
-        save_checkpoint scale
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
 
 (* --- deterministic merge of parallel shard aggregates ---------------- *)
 
@@ -678,10 +566,10 @@ let bump_by tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* Fold one shard's aggregate into [dst].  Every field is a sum (or a
-   bag, for validity samples), so merging shards in index order yields
-   exactly the totals a sequential pass accumulates.  [lint_crashes],
-   [degraded], [resumed_at] and [aborted] are owned by the coordinator
-   and skipped here. *)
+   bag, for validity samples; a minimum, for [resumed_at]), so merging
+   shards in index order yields exactly the totals a sequential pass
+   accumulates.  [lint_crashes], [degraded], [aborted] and [coverage]
+   are owned by the coordinator and skipped here. *)
 let merge_into dst (src : t) =
   dst.total <- dst.total + src.total;
   dst.idncerts <- dst.idncerts + src.idncerts;
@@ -753,9 +641,10 @@ let merge_into dst (src : t) =
   dst.faults.quarantined <- dst.faults.quarantined + src.faults.quarantined;
   dst.faults.checkpoints_saved <-
     dst.faults.checkpoints_saved + src.faults.checkpoints_saved;
-  Hashtbl.iter (fun k v -> bump_by dst.faults.by_class k v) src.faults.by_class
-
-(* --- the parallel (sharded) pass ------------------------------------- *)
+  Hashtbl.iter (fun k v -> bump_by dst.faults.by_class k v) src.faults.by_class;
+  let r = src.faults.resumed_at in
+  if r > 0 && (dst.faults.resumed_at = 0 || r < dst.faults.resumed_at) then
+    dst.faults.resumed_at <- r
 
 (* [Lazy.force] is not domain-safe in OCaml 5: every lazy handle a
    worker can touch must be forced on this domain before any spawn. *)
@@ -768,246 +657,6 @@ let prewarm policy =
   Faults.Breaker.prewarm ();
   Faults.Injector.prewarm ();
   Faults.Quarantine.prewarm ()
-
-let run_parallel ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs =
-  prewarm policy;
-  let crashes_before = snapshot_crashes () in
-  let ranges = Par.shards ~jobs scale in
-  let nshards = List.length ranges in
-  (* fail-fast / max-errors are run-global: the first shard to hit the
-     budget publishes the reason and every shard winds down at its next
-     delivery.  Which certificates the other shards got to before
-     noticing is timing-dependent, so an *aborted* parallel run is not
-     byte-reproducible (a completed one is). *)
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
-  in
-  let run_shard ~shard ~lo ~hi =
-    (* A shard cursor also re-validates its own range: after a --jobs
-       change the shard boundaries move, and a stale cursor whose range
-       does not match would double- or skip-process indices. *)
-    let part, start =
-      match
-        if resume then
-          Option.bind policy.Faults.Policy.checkpoint_file (fun file ->
-              Faults.Checkpoint.load (Faults.Checkpoint.shard_file file shard))
-        else None
-      with
-      | Some c
-        when c.Faults.Checkpoint.scale = scale
-             && c.Faults.Checkpoint.seed = seed
-             && fst c.Faults.Checkpoint.state = lo
-             && c.Faults.Checkpoint.next_index >= lo
-             && c.Faults.Checkpoint.next_index <= hi ->
-          let part : t = snd c.Faults.Checkpoint.state in
-          if c.Faults.Checkpoint.next_index > lo then
-            part.faults.resumed_at <- c.Faults.Checkpoint.next_index;
-          (part, c.Faults.Checkpoint.next_index)
-      | _ -> (fresh ~scale ~seed, lo)
-    in
-    let quarantine =
-      Option.map
-        (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-        policy.Faults.Policy.quarantine_dir
-    in
-    let record ~index ~der error =
-      let f = part.faults in
-      f.fault_errors <- f.fault_errors + 1;
-      bump f.by_class (Faults.Error.class_name error);
-      Faults.Error.observe error;
-      trace_fault ~index error;
-      (match quarantine with
-      | Some q ->
-          Faults.Quarantine.record q ~index ~error ~der;
-          f.quarantined <- f.quarantined + 1
-      | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
-      match policy.Faults.Policy.max_errors with
-      | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
-      | _ -> ()
-    in
-    let save_checkpoint next_index =
-      match policy.Faults.Policy.checkpoint_file with
-      | Some file ->
-          Faults.Checkpoint.save
-            (Faults.Checkpoint.shard_file file shard)
-            { Faults.Checkpoint.scale; seed; next_index; state = (lo, part) };
-          part.faults.checkpoints_saved <- part.faults.checkpoints_saved + 1
-      | None -> ()
-    in
-    let every = max 1 policy.Faults.Policy.checkpoint_every in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-      (fun () ->
-        try
-          Ctlog.Dataset.iter_deliveries ~scale ~start ~stop:hi ?mutator ~drop ~seed
-            (fun index delivery ->
-              if Atomic.get stop_flag then raise Shard_stop;
-              (match delivery with
-              | Ctlog.Dataset.Entry e -> process_entry part policy ~record index e
-              | Ctlog.Dataset.Corrupt { der; error; _ } -> record ~index ~der error);
-              if (index + 1) mod every = 0 then save_checkpoint (index + 1));
-          save_checkpoint hi
-        with Shard_stop -> ());
-    part
-  in
-  let parts =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi -> run_shard ~shard ~lo ~hi))
-  in
-  (* Always fold shard sidecars into the main quarantine file, so an
-     aborted run still keeps every record written so far. *)
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
-  let t = fresh ~scale ~seed in
-  List.iter (fun part -> merge_into t part) parts;
-  t.faults.resumed_at <-
-    List.fold_left
-      (fun acc (part : t) ->
-        let r = part.faults.resumed_at in
-        if r = 0 then acc else if acc = 0 then r else min acc r)
-      0 parts;
-  t.faults.aborted <- !abort_reason;
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
-
-(* --- the fetch source ------------------------------------------------- *)
-
-(* Analysis of a fetched corpus reuses the same boundary and aggregate
-   machinery as the generate source, but iterates the materialized item
-   stream instead of regenerating entries: faults the transport already
-   classified (undecodable bytes, integrity-flagged ranges) go straight
-   through [record], everything else is linted normally. *)
-
-let analyze_item t policy ~record item =
-  match item with
-  | Ctlog.Fetch.Got (index, e) -> process_entry t policy ~record index e
-  | Ctlog.Fetch.Undecodable (index, der, error) -> record ~index ~der error
-
-let analyze_sequential ~scale ~seed ~policy items =
-  let t = fresh ~scale ~seed in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Array.iter
-              (analyze_item t policy ~record:(record_fault t policy quarantine))
-              items)
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t
-
-let analyze_parallel ~scale ~seed ~policy ~jobs items =
-  let n = Array.length items in
-  let nshards = List.length (Par.shards ~jobs n) in
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
-  in
-  let run_shard ~shard ~lo ~hi =
-    let part = fresh ~scale ~seed in
-    let quarantine =
-      Option.map
-        (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-        policy.Faults.Policy.quarantine_dir
-    in
-    let record ~index ~der error =
-      let f = part.faults in
-      f.fault_errors <- f.fault_errors + 1;
-      bump f.by_class (Faults.Error.class_name error);
-      Faults.Error.observe error;
-      trace_fault ~index error;
-      (match quarantine with
-      | Some q ->
-          Faults.Quarantine.record q ~index ~error ~der;
-          f.quarantined <- f.quarantined + 1
-      | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
-      match policy.Faults.Policy.max_errors with
-      | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
-      | _ -> ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-      (fun () ->
-        try
-          for i = lo to hi - 1 do
-            if Atomic.get stop_flag then raise Shard_stop;
-            analyze_item part policy ~record items.(i)
-          done
-        with Shard_stop -> ());
-    part
-  in
-  let parts =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale:n (fun ~shard ~lo ~hi ->
-            run_shard ~shard ~lo ~hi))
-  in
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
-  let t = fresh ~scale ~seed in
-  List.iter (fun part -> merge_into t part) parts;
-  t.faults.aborted <- !abort_reason;
-  t
-
-let run_fetch ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
-  prewarm policy;
-  Ctlog.Fetch.prewarm ();
-  let crashes_before = snapshot_crashes () in
-  (* The boundary's breaker threshold also governs the per-log fetch
-     breakers, so --breaker-threshold tunes both layers. *)
-  let cfg =
-    { cfg with
-      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
-  in
-  let items, coverage =
-    Obs.Span.with_ "fetch" (fun () ->
-        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
-          ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
-  in
-  let items = Array.of_list items in
-  let t =
-    if jobs > 1 && Array.length items > 1 then
-      analyze_parallel ~scale ~seed ~policy ~jobs items
-    else analyze_sequential ~scale ~seed ~policy items
-  in
-  t.coverage <- coverage;
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
 
 let coverage_degraded t =
   List.exists (fun c -> not (Ctlog.Fetch.coverage_complete c)) t.coverage
@@ -1327,37 +976,13 @@ let save_indexes db named =
       (name, file, sha))
     named
 
-(* --- replaying stored records --- *)
+(* --- pieces: the interleaving of recovered coverage and gaps --- *)
 
 let store_corrupt fmt =
   Printf.ksprintf (fun s -> raise (Store.Db.Store_error s)) fmt
 
-(* Absorb one stored record: cert rows re-enter the aggregate through
-   {!absorb_row} (no parse, no lint), fault records replay through the
-   caller's boundary so quarantine, budgets and robustness reporting
-   match the cold run.  Returns the decoded row for cert records. *)
-let replay_stored t ~record recd rowstr =
-  match recd with
-  | Store.Db.Fault { index; class_; detail; der } ->
-      record ~index ~der (Faults.Error.of_class ~class_ ~detail);
-      None
-  | Store.Db.Cert { index; der = _ } -> (
-      match decode_row rowstr with
-      | Error e ->
-          store_corrupt "stored row %d undecodable (%s); run `unicert-store fsck`"
-            index e
-      | Ok row -> (
-          match Ctlog.Dataset.issuer_of_org row.r_org with
-          | None ->
-              store_corrupt "stored row %d references unknown issuer %S" index
-                row.r_org
-          | Some issuer ->
-              let nc = List.filter_map Lint.Registry.find row.r_nc in
-              Obs.Span.with_ "aggregate" (fun () -> absorb_row t ~issuer row nc);
-              Some row))
-
-(* --- cold build: process one live entry and land it durably --- *)
-
+(* A corrupt delivery lands as a fault record (row "F"), so a warm
+   replay reproduces the fault ledger. *)
 let append_fault pw ~index ~der error =
   Store.Db.append pw
     (Store.Db.Fault
@@ -1366,44 +991,6 @@ let append_fault pw ~index ~der error =
          detail = Faults.Error.detail error;
          der })
     ~row:"F"
-
-let process_store t pw acc policy ~record index (entry : Ctlog.Dataset.entry) =
-  let work () =
-    with_profiling ~index (fun ~timer ~note_aggregate ->
-        let row, nc = row_of_entry ~timer entry ~index in
-        note_aggregate (fun () ->
-            absorb_row t ~issuer:entry.Ctlog.Dataset.issuer row nc);
-        add_index_entries acc row;
-        Store.Db.append pw
-          (Store.Db.Cert
-             { index; der = entry.Ctlog.Dataset.cert.X509.Certificate.der })
-          ~row:(encode_row row))
-  in
-  let guarded () =
-    match policy.Faults.Policy.timeout_seconds with
-    | Some s -> Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s work
-    | None -> work ()
-  in
-  (* A processing fault is also landed as a store fault record, so a
-     warm replay reproduces the cold run's fault ledger. *)
-  match guarded () with
-  | () -> ()
-  | exception (Abort _ as e) -> raise e
-  | exception (Shard_stop as e) -> raise e
-  | exception (Store.Chaos.Crashed _ as e) -> raise e
-  | exception (Store.Db.Store_error _ as e) -> raise e
-  | exception Faults.Watchdog.Timed_out { stage; seconds } ->
-      let error = Faults.Error.Timeout { stage; seconds } in
-      append_fault pw ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        error;
-      record ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der error
-  | exception e when Faults.Isolation.enabled () ->
-      let error = Faults.Error.of_exn ~stage:"process" e in
-      append_fault pw ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        error;
-      record ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der error
-
-(* --- pieces: the interleaving of recovered coverage and gaps --- *)
 
 type piece =
   | Stored of (Store.Manifest.seg * Store.Manifest.seg)
@@ -1419,34 +1006,227 @@ let build_pieces db ~scale =
     (List.map (fun pr -> Stored pr) (Store.Db.spans db))
     (List.map (fun g -> Gap g) (Store.Db.gaps db ~scale))
 
-(* --- the sharded generate-source build --- *)
+(* --- the one sharded driver ---------------------------------------------
 
-let run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs ~lints =
-  prewarm policy;
-  Store.Db.prewarm ();
-  Store.Db.recover db ~lints;
-  let pieces = build_pieces db ~scale in
-  let nshards = List.length (Par.shards ~jobs scale) in
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
+   Every run is the same three pieces.  A {e source} delivers records
+   for an index range: generated deliveries or fetched items for the
+   gaps, stored records for the spans already in the store.  One
+   {e sharded driver} runs the shards of [0, scale) a domain each
+   (jobs=1 is one shard, run inline) behind the only per-shard fault
+   boundary.  A {e sink} folds every record into the
+   shard's aggregate and, with a store, appends it to a span writer;
+   the coordinator merges the parts in shard order and commits. *)
+
+(* What the run does with the store. *)
+type mode =
+  | Transient  (* no store: aggregate only *)
+  | Build of Store.Db.t  (* replay the recovered spans, land the gaps *)
+  | Replay of Store.Db.t  (* warm: replay every stored span *)
+  | Rewrite of Store.Db.t * string list
+      (* incremental: replay every stored span, adding these missing
+         lints, into a new rows column *)
+
+(* A shard's output besides its aggregate: index entries and the
+   (certs, rows) pairs it sealed. *)
+type part = {
+  agg : t;
+  acc : index_acc;
+  mutable pairs : (Store.Manifest.seg * Store.Manifest.seg) list;
+}
+
+(* The one per-certificate guard: a watchdog timeout or, under
+   isolation, any exception becomes a classified error.  The budget's
+   unwind and store failures pass through untouched. *)
+let guard policy work =
+  match
+    match policy.Faults.Policy.timeout_seconds with
+    | Some s -> Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s work
+    | None -> work ()
+  with
+  | () -> None
+  | exception
+      ((Faults.Policy.Stop | Store.Chaos.Crashed _ | Store.Db.Store_error _) as e)
+    ->
+      raise e
+  | exception Faults.Watchdog.Timed_out { stage; seconds } ->
+      Some (Faults.Error.Timeout { stage; seconds })
+  | exception e when Faults.Isolation.enabled () ->
+      Some (Faults.Error.of_exn ~stage:"process" e)
+
+(* Incremental recompute: run just the missing lints over the stored
+   DER and merge with the stored findings; names of removed lints drop
+   out. *)
+let relint ~missing ~index ~der row =
+  let fresh_nc =
+    if missing = [] then []
+    else
+      match X509.Certificate.parse der with
+      | Error e ->
+          store_corrupt "stored certificate %d unparseable (%s)" index
+            (Faults.Error.to_string e)
+      | Ok cert ->
+          Lint.Registry.run ~respect_effective_dates:false
+            ~only:(fun l -> List.mem l.Lint.name missing)
+            ~issued:row.r_issued cert
+          |> List.filter_map (fun (f : Lint.finding) ->
+                 if Lint.is_noncompliant f then Some f.Lint.lint.Lint.name else None)
   in
+  let keep n = List.mem n row.r_nc || List.mem n fresh_nc in
+  { row with
+    r_nc =
+      List.filter keep (List.map (fun (l : Lint.t) -> l.Lint.name) Lint.Registry.all) }
+
+let stored_row ~index rowstr =
+  match decode_row rowstr with
+  | Ok row -> row
+  | Error e ->
+      store_corrupt "stored row %d undecodable (%s); run `unicert-store fsck`"
+        index e
+
+(* Stored rows re-enter the aggregate through {!absorb_row}: no parse,
+   no lint. *)
+let absorb_stored t ~index row =
+  match Ctlog.Dataset.issuer_of_org row.r_org with
+  | None ->
+      store_corrupt "stored row %d references unknown issuer %S" index row.r_org
+  | Some issuer ->
+      let nc = List.filter_map Lint.Registry.find row.r_nc in
+      Obs.Span.with_ "aggregate" (fun () -> absorb_row t ~issuer row nc)
+
+(* Run [f] with an optional span writer: seal it when [f] returns,
+   close it unsealed when [f] raises. *)
+let with_writer w ~seal ~abandon f =
+  match f () with
+  | () -> Option.iter seal w
+  | exception e ->
+      Option.iter abandon w;
+      raise e
+
+let by_lo ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) =
+  compare a.Store.Manifest.lo b.Store.Manifest.lo
+
+let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
+    ?(policy = Faults.Policy.default) ?mutator ?(drop = false) ?(resume = false)
+    ?(jobs = 1) ?(source = Generate) ?store () =
+  prewarm policy;
+  let crashes_before = snapshot_crashes () in
+  let lints = lints_signature () in
+  let mode =
+    match store with
+    | None -> Transient
+    | Some dir ->
+        let fingerprint = store_fingerprint ~mutator ~drop ~source in
+        let db = Store.Db.create ~dir ~scale ~seed ~fingerprint in
+        Store.Db.prewarm ();
+        if not (Store.Db.complete db) then begin
+          Store.Db.recover db ~lints;
+          Build db
+        end
+        else
+          let stored = (Store.Db.manifest db).Store.Manifest.lints in
+          if stored = lints then Replay db
+          else
+            let stored = String.split_on_char ';' stored in
+            Rewrite
+              ( db,
+                List.filter_map
+                  (fun (l : Lint.t) ->
+                    if List.mem l.Lint.name stored then None else Some l.Lint.name)
+                  Lint.Registry.all )
+  in
+  let db = match mode with Transient -> None | Build db | Replay db | Rewrite (db, _) -> Some db in
+  (* The live source, for the ranges the store does not hold yet.  A
+     fetch hands back every item of a resumed transport, in index
+     order; the boundary's breaker threshold also governs the per-log
+     fetch breakers. *)
+  let fetched =
+    match (source, mode) with
+    | Fetch cfg, (Transient | Build _) ->
+        Ctlog.Fetch.prewarm ();
+        let cfg =
+          { cfg with
+            Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
+        in
+        let items, coverage =
+          Obs.Span.with_ "fetch" (fun () ->
+              Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
+                ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
+        in
+        Some (Array.of_list items, coverage)
+    | _ -> None
+  in
+  let feed ~lo ~hi f =
+    match fetched with
+    | Some (items, _) ->
+        Array.iter
+          (fun item ->
+            let i = Ctlog.Fetch.item_index item in
+            if i >= lo && i < hi then f item)
+          items
+    | None ->
+        Ctlog.Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator ~drop ~seed
+          (fun index -> function
+            | Ctlog.Dataset.Entry e -> f (Ctlog.Fetch.Got (index, e))
+            | Ctlog.Dataset.Corrupt { der; error; _ } ->
+                f (Ctlog.Fetch.Undecodable (index, der, error)))
+  in
+  let pieces =
+    match mode with
+    | Transient -> [ Gap (0, scale) ]
+    | Build db -> build_pieces db ~scale
+    | Replay db | Rewrite (db, _) -> List.map (fun pr -> Stored pr) (Store.Db.spans db)
+  in
+  let commits = match mode with Build _ | Rewrite _ -> true | _ -> false in
+  (* Shard cursors checkpoint a transient generate pass only: a store
+     is its own checkpoint, and a fetch resumes through its transport
+     cursors.  A cursor is reused only when its saved range matches the
+     shard's, so changing [jobs] restarts mismatched shards from their
+     range start.  Cursors load before any shard starts, so the errors
+     they carry are charged to the budget up front. *)
+  let cursor_file =
+    match (mode, fetched) with
+    | Transient, None -> policy.Faults.Policy.checkpoint_file
+    | _ -> None
+  in
+  let ranges = Par.shards ~jobs scale in
+  let starts =
+    Array.of_list
+      (List.mapi
+         (fun shard (lo, hi) ->
+           match
+             if resume then
+               Option.bind cursor_file (fun file ->
+                   Faults.Checkpoint.load (Faults.Checkpoint.shard_file file shard))
+             else None
+           with
+           | Some c
+             when c.Faults.Checkpoint.scale = scale
+                  && c.Faults.Checkpoint.seed = seed
+                  && fst c.Faults.Checkpoint.state = lo
+                  && c.Faults.Checkpoint.next_index >= lo
+                  && c.Faults.Checkpoint.next_index <= hi ->
+               let agg : t = snd c.Faults.Checkpoint.state in
+               if c.Faults.Checkpoint.next_index > lo then
+                 agg.faults.resumed_at <- c.Faults.Checkpoint.next_index;
+               (agg, c.Faults.Checkpoint.next_index)
+           | _ -> (fresh ~scale ~seed, lo))
+         ranges)
+  in
+  let budget =
+    Faults.Policy.budget policy
+      ~spent:(Array.fold_left (fun n ((a : t), _) -> n + a.faults.fault_errors) 0 starts)
+  in
+  let every = max 1 policy.Faults.Policy.checkpoint_every in
   let run_shard ~shard ~lo ~hi =
-    let part = fresh ~scale ~seed in
-    let acc = fresh_acc () in
-    let segs = ref [] in
+    let agg, start = starts.(shard) in
+    let part = { agg; acc = fresh_acc (); pairs = [] } in
     let quarantine =
       Option.map
         (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
         policy.Faults.Policy.quarantine_dir
     in
     let record ~index ~der error =
-      let f = part.faults in
+      let f = agg.faults in
       f.fault_errors <- f.fault_errors + 1;
       bump f.by_class (Faults.Error.class_name error);
       Faults.Error.observe error;
@@ -1456,393 +1236,170 @@ let run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs ~lints
           Faults.Quarantine.record q ~index ~error ~der;
           f.quarantined <- f.quarantined + 1
       | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
-      match policy.Faults.Policy.max_errors with
-      | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
-      | _ -> ()
+      Faults.Policy.charge budget error
+    in
+    let checkpoint next_index =
+      match cursor_file with
+      | Some file ->
+          Faults.Checkpoint.save
+            (Faults.Checkpoint.shard_file file shard)
+            { Faults.Checkpoint.scale; seed; next_index; state = (lo, agg) };
+          agg.faults.checkpoints_saved <- agg.faults.checkpoints_saved + 1
+      | None -> ()
+    in
+    (* A live delivery: analyze, absorb and land it. *)
+    let live pw item =
+      Faults.Policy.check budget;
+      (match item with
+      | Ctlog.Fetch.Got (index, entry) -> (
+          let der = entry.Ctlog.Dataset.cert.X509.Certificate.der in
+          let work () =
+            with_profiling ~index (fun ~timer ~note_aggregate ->
+                let row, nc = row_of_entry ~timer entry ~index in
+                note_aggregate (fun () ->
+                    absorb_row agg ~issuer:entry.Ctlog.Dataset.issuer row nc);
+                if commits then add_index_entries part.acc row;
+                Option.iter
+                  (fun pw ->
+                    Store.Db.append pw (Store.Db.Cert { index; der })
+                      ~row:(encode_row row))
+                  pw)
+          in
+          match guard policy work with
+          | None -> ()
+          | Some error ->
+              Option.iter (fun pw -> append_fault pw ~index ~der error) pw;
+              record ~index ~der error)
+      | Ctlog.Fetch.Undecodable (index, der, error) ->
+          Option.iter (fun pw -> append_fault pw ~index ~der error) pw;
+          record ~index ~der error);
+      let next = Ctlog.Fetch.item_index item + 1 in
+      if next mod every = 0 then checkpoint next
+    in
+    (* A stored record: faults replay through the boundary, rows
+       through {!absorb_stored}; an incremental recompute rewrites each
+       row into the new column. *)
+    let stored rw recd rowstr =
+      Faults.Policy.check budget;
+      match recd with
+      | Store.Db.Fault { index; class_; detail; der } ->
+          record ~index ~der (Faults.Error.of_class ~class_ ~detail);
+          Option.iter (fun rw -> Store.Db.append_row rw rowstr) rw
+      | Store.Db.Cert { index; der } ->
+          let row = stored_row ~index rowstr in
+          let row =
+            match mode with
+            | Rewrite (_, missing) -> relint ~missing ~index ~der row
+            | _ -> row
+          in
+          absorb_stored agg ~index row;
+          if commits then add_index_entries part.acc row;
+          Option.iter (fun rw -> Store.Db.append_row rw (encode_row row)) rw
+    in
+    (* A stored span belongs to the shard holding its [lo]; a gap is
+       clipped to the shard (and to a resumed cursor). *)
+    let piece = function
+      | Stored (((c : Store.Manifest.seg), _) as pr) ->
+          if c.Store.Manifest.lo >= lo && c.Store.Manifest.lo < hi then begin
+            let rw =
+              match mode with
+              | Rewrite (db, _) ->
+                  Some
+                    (Store.Db.start_rows_span db ~lints ~lo:c.Store.Manifest.lo
+                       ~hi:c.Store.Manifest.hi)
+              | _ -> None
+            in
+            with_writer rw
+              ~seal:(fun rw -> part.pairs <- (c, Store.Db.finish_rows_span rw) :: part.pairs)
+              ~abandon:Store.Db.close_rows_noerr
+              (fun () ->
+                Option.iter (fun db -> Store.Db.iter_pair db pr (stored rw)) db)
+          end
+      | Gap (glo, ghi) ->
+          let glo = max glo start and ghi = min ghi hi in
+          if glo < ghi then begin
+            let pw =
+              match mode with
+              | Build db -> Some (Store.Db.start_span db ~lints ~lo:glo ~hi:ghi)
+              | _ -> None
+            in
+            with_writer pw
+              ~seal:(fun pw -> part.pairs <- Store.Db.finish_span pw :: part.pairs)
+              ~abandon:Store.Db.close_noerr
+              (fun () -> feed ~lo:glo ~hi:ghi (live pw))
+          end
     in
     Fun.protect
       ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
       (fun () ->
         try
-          List.iter
-            (fun piece ->
-              match piece with
-              | Stored ((c, _) as pr) when c.Store.Manifest.hi > lo && c.Store.Manifest.lo < hi ->
-                  Store.Db.iter_pair db pr (fun recd rowstr ->
-                      let i = Store.Db.index_of_record recd in
-                      if i >= lo && i < hi then begin
-                        if Atomic.get stop_flag then raise Shard_stop;
-                        match replay_stored part ~record recd rowstr with
-                        | Some row -> add_index_entries acc row
-                        | None -> ()
-                      end)
-              | Stored _ -> ()
-              | Gap (glo, ghi) ->
-                  let glo = max glo lo and ghi = min ghi hi in
-                  if glo < ghi then begin
-                    let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
-                    match
-                      Ctlog.Dataset.iter_deliveries ~scale ~start:glo ~stop:ghi
-                        ?mutator ~drop ~seed (fun index delivery ->
-                          if Atomic.get stop_flag then raise Shard_stop;
-                          match delivery with
-                          | Ctlog.Dataset.Entry e ->
-                              process_store part pw acc policy ~record index e
-                          | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                              append_fault pw ~index ~der error;
-                              record ~index ~der error)
-                    with
-                    | () -> segs := Store.Db.finish_span pw :: !segs
-                    | exception e ->
-                        Store.Db.close_noerr pw;
-                        raise e
-                  end)
-            pieces
-        with Shard_stop -> ());
-    (part, List.rev !segs, acc)
+          List.iter piece pieces;
+          checkpoint hi
+        with Faults.Policy.Stop -> ());
+    part
   in
-  let results =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi -> run_shard ~shard ~lo ~hi))
+  (* Shard sidecars fold into the main quarantine file in shard (=
+     index) order even when the pass stops early. *)
+  let parts =
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter
+          (fun dir ->
+            ignore
+              (Faults.Quarantine.merge_shards ~dir ~run_seed:seed
+                 ~shards:(List.length ranges)))
+          policy.Faults.Policy.quarantine_dir)
+      (fun () -> Obs.Span.with_ "pipeline" (fun () -> Par.map_shards ~jobs ~scale run_shard))
   in
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
   let t = fresh ~scale ~seed in
-  List.iter (fun (part, _, _) -> merge_into t part) results;
-  t.faults.aborted <- !abort_reason;
-  if t.faults.aborted = None then begin
-    let stored =
-      List.filter_map (function Stored pr -> Some pr | Gap _ -> None) pieces
-    in
-    let fresh_pairs = List.concat_map (fun (_, segs, _) -> segs) results in
-    let by_lo =
-      List.sort (fun ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) ->
-          compare a.Store.Manifest.lo b.Store.Manifest.lo)
-    in
-    let pairs = by_lo (stored @ fresh_pairs) in
-    let indexes =
-      save_indexes db (merge_accs (List.map (fun (_, _, a) -> a) results))
-    in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = List.map fst pairs;
-        rows = List.map snd pairs;
-        indexes;
-        meta = [] }
-    in
-    let man = { man with Store.Manifest.meta = [ ("content", content_address man) ] } in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- the sequential fetch-source build ---------------------------------
-
-   Fetch cursors already carry the full fetched history, so a resumed
-   fetch hands back every item; the store pass walks items and
-   recovered spans in index order, writing only the gaps.  The landing
-   pass is sequential — [jobs] still parallelizes the transport. *)
-
-let run_store_fetch_build db ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs
-    ~lints cfg =
-  prewarm policy;
-  Ctlog.Fetch.prewarm ();
-  Store.Db.prewarm ();
-  Store.Db.recover db ~lints;
-  let cfg =
-    { cfg with
-      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
-  in
-  let items, coverage =
-    Obs.Span.with_ "fetch" (fun () ->
-        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
-          ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
-  in
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let pieces = build_pieces db ~scale in
-  let t = fresh ~scale ~seed in
-  let acc = fresh_acc () in
-  let segs = ref [] in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let record = record_fault t policy quarantine in
-  let ii = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            List.iter
-              (fun piece ->
-                match piece with
-                | Stored ((c, _) as pr) ->
-                    while
-                      !ii < n
-                      && Ctlog.Fetch.item_index items.(!ii) < c.Store.Manifest.hi
-                    do
-                      incr ii
-                    done;
-                    Store.Db.iter_pair db pr (fun recd rowstr ->
-                        match replay_stored t ~record recd rowstr with
-                        | Some row -> add_index_entries acc row
-                        | None -> ())
-                | Gap (glo, ghi) ->
-                    while !ii < n && Ctlog.Fetch.item_index items.(!ii) < glo do
-                      incr ii
-                    done;
-                    let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
-                    (match
-                       while
-                         !ii < n && Ctlog.Fetch.item_index items.(!ii) < ghi
-                       do
-                         (match items.(!ii) with
-                         | Ctlog.Fetch.Got (index, e) ->
-                             process_store t pw acc policy ~record index e
-                         | Ctlog.Fetch.Undecodable (index, der, error) ->
-                             append_fault pw ~index ~der error;
-                             record ~index ~der error);
-                         incr ii
-                       done
-                     with
-                    | () -> segs := Store.Db.finish_span pw :: !segs
-                    | exception e ->
-                        Store.Db.close_noerr pw;
-                        raise e))
-              pieces)
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t.coverage <- coverage;
-  if t.faults.aborted = None then begin
-    let stored =
-      List.filter_map (function Stored pr -> Some pr | Gap _ -> None) pieces
-    in
-    let pairs =
-      List.sort
-        (fun ((a : Store.Manifest.seg), _) (b, _) -> compare a.Store.Manifest.lo b.Store.Manifest.lo)
-        (stored @ List.rev !segs)
-    in
-    let indexes = save_indexes db (merge_accs [ acc ]) in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = List.map fst pairs;
-        rows = List.map snd pairs;
-        indexes;
-        meta = [] }
-    in
-    let man =
-      { man with
-        Store.Manifest.meta =
-          [ ("content", content_address man);
-            ("coverage", encode_coverage coverage) ] }
-    in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- warm replay: the store is complete for the current lint set --- *)
-
-let run_store_warm db ~scale ~seed ~policy =
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  Store.Db.prewarm ();
-  let t = fresh ~scale ~seed in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Store.Db.iter_pairs db (fun recd rowstr ->
-                ignore
-                  (replay_stored t
-                     ~record:(record_fault t policy quarantine)
-                     recd rowstr)))
-      with Abort reason -> t.faults.aborted <- Some reason);
-  (match Store.Db.meta db "coverage" with
-  | Some s -> (
-      match decode_coverage s with
-      | Ok cov -> t.coverage <- cov
-      | Error e -> store_corrupt "stored coverage undecodable (%s)" e)
-  | None -> ());
-  t
-
-(* --- incremental recompute: the lint set changed ----------------------
-
-   Certificates and indexes-by-DER never change; only the analysis rows
-   do.  Run just the missing lints over the stored DER, merge with the
-   stored findings (names of removed lints drop out), and publish the
-   new rows column + indexes in one manifest commit — old columns are
-   deleted only after the commit. *)
-
-let run_store_incremental db ~scale ~seed ~policy ~lints =
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  Store.Db.prewarm ();
-  let stored_lints =
-    String.split_on_char ';' (Store.Db.manifest db).Store.Manifest.lints
-  in
-  let current = List.map (fun (l : Lint.t) -> l.Lint.name) Lint.Registry.all in
-  let missing = List.filter (fun n -> not (List.mem n stored_lints)) current in
-  let t = fresh ~scale ~seed in
-  let acc = fresh_acc () in
-  let new_rows = ref [] in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let record = record_fault t policy quarantine in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            List.iter
-              (fun (((c : Store.Manifest.seg), _) as pr) ->
-                let rw =
-                  Store.Db.start_rows_span db ~lints ~lo:c.Store.Manifest.lo
-                    ~hi:c.Store.Manifest.hi
-                in
-                match
-                  Store.Db.iter_pair db pr (fun recd rowstr ->
-                      match recd with
-                      | Store.Db.Fault { index; class_; detail; der } ->
-                          record ~index ~der
-                            (Faults.Error.of_class ~class_ ~detail);
-                          Store.Db.append_row rw rowstr
-                      | Store.Db.Cert { index; der } -> (
-                          match decode_row rowstr with
-                          | Error e ->
-                              store_corrupt
-                                "stored row %d undecodable (%s); run `unicert-store fsck`"
-                                index e
-                          | Ok row ->
-                              let fresh_nc =
-                                if missing = [] then []
-                                else
-                                  match X509.Certificate.parse der with
-                                  | Error e ->
-                                      store_corrupt
-                                        "stored certificate %d unparseable (%s)"
-                                        index (Faults.Error.to_string e)
-                                  | Ok cert ->
-                                      Lint.Registry.run
-                                        ~respect_effective_dates:false
-                                        ~only:(fun l ->
-                                          List.mem l.Lint.name missing)
-                                        ~issued:row.r_issued cert
-                                      |> List.filter_map
-                                           (fun (f : Lint.finding) ->
-                                             if Lint.is_noncompliant f then
-                                               Some f.Lint.lint.Lint.name
-                                             else None)
-                              in
-                              let keep n =
-                                List.mem n row.r_nc || List.mem n fresh_nc
-                              in
-                              let row =
-                                { row with r_nc = List.filter keep current }
-                              in
-                              (match Ctlog.Dataset.issuer_of_org row.r_org with
-                              | None ->
-                                  store_corrupt
-                                    "stored row %d references unknown issuer %S"
-                                    index row.r_org
-                              | Some issuer ->
-                                  let nc =
-                                    List.filter_map Lint.Registry.find row.r_nc
-                                  in
-                                  Obs.Span.with_ "aggregate" (fun () ->
-                                      absorb_row t ~issuer row nc));
-                              add_index_entries acc row;
-                              Store.Db.append_row rw (encode_row row)))
-                with
-                | () -> new_rows := Store.Db.finish_rows_span rw :: !new_rows
-                | exception e ->
-                    Store.Db.close_rows_noerr rw;
-                    raise e)
-              (Store.Db.spans db))
-      with Abort reason -> t.faults.aborted <- Some reason);
-  if t.faults.aborted = None then begin
-    let old = Store.Db.manifest db in
-    let rows =
-      List.sort
-        (fun (a : Store.Manifest.seg) b -> compare a.Store.Manifest.lo b.Store.Manifest.lo)
-        (List.rev !new_rows)
-    in
-    let indexes = save_indexes db (merge_accs [ acc ]) in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = old.Store.Manifest.segments;
-        rows;
-        indexes;
-        meta = [] }
-    in
-    let keep_meta =
-      List.filter (fun (k, _) -> k = "coverage") old.Store.Manifest.meta
-    in
-    let man =
-      { man with
-        Store.Manifest.meta = ("content", content_address man) :: keep_meta }
-    in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- dispatch --- *)
-
-let run_store ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs ~source ~dir =
-  let lints = lints_signature () in
-  let fingerprint = store_fingerprint ~mutator ~drop ~source in
-  let db = Store.Db.create ~dir ~scale ~seed ~fingerprint in
-  let crashes_before = snapshot_crashes () in
-  let t =
-    if Store.Db.complete db then
-      if (Store.Db.manifest db).Store.Manifest.lints = lints then
-        run_store_warm db ~scale ~seed ~policy
-      else run_store_incremental db ~scale ~seed ~policy ~lints
-    else
-      match source with
-      | Generate ->
-          run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs
-            ~lints
-      | Fetch cfg ->
-          run_store_fetch_build db ~scale ~seed ~policy ~mutator ~drop ~resume
-            ~jobs ~lints cfg
-  in
+  List.iter (fun p -> merge_into t p.agg) parts;
+  t.faults.aborted <- Faults.Policy.aborted budget;
+  (* Incremental recompute never restored the fetch coverage into the
+     report (pinned by @par-smoke); the rewritten manifest keeps it. *)
+  t.coverage <-
+    (match (fetched, mode) with
+    | Some (_, coverage), _ -> coverage
+    | None, Replay db -> (
+        match Store.Db.meta db "coverage" with
+        | None -> []
+        | Some s -> (
+            match decode_coverage s with
+            | Ok cov -> cov
+            | Error e -> store_corrupt "stored coverage undecodable (%s)" e))
+    | None, _ -> []);
+  (match mode with
+  | (Build db | Rewrite (db, _)) when t.faults.aborted = None ->
+      (* A build keeps the recovered spans; a rewrite replaced every
+         rows column. *)
+      let kept =
+        match mode with
+        | Build _ -> List.filter_map (function Stored pr -> Some pr | Gap _ -> None) pieces
+        | _ -> []
+      in
+      let pairs = List.sort by_lo (kept @ List.concat_map (fun p -> p.pairs) parts) in
+      let indexes = save_indexes db (merge_accs (List.map (fun p -> p.acc) parts)) in
+      let man : Store.Manifest.t =
+        { state = `Complete;
+          lints;
+          segments = List.map fst pairs;
+          rows = List.map snd pairs;
+          indexes;
+          meta = [] }
+      in
+      let coverage =
+        match fetched with
+        | Some (_, cov) -> Some (encode_coverage cov)
+        | None -> Store.Db.meta db "coverage"
+      in
+      Store.Db.commit db
+        { man with
+          Store.Manifest.meta =
+            ("content", content_address man)
+            :: Option.to_list (Option.map (fun s -> ("coverage", s)) coverage) }
+  | _ -> ());
   t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
   t.faults.degraded <- Lint.Registry.degraded ();
   t
-
-let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
-    ?(policy = Faults.Policy.default) ?mutator ?(drop = false) ?(resume = false)
-    ?(jobs = 1) ?(source = Generate) ?store () =
-  match store with
-  | Some dir ->
-      run_store ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs ~source ~dir
-  | None -> (
-      match source with
-      | Fetch cfg -> run_fetch ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg
-      | Generate ->
-          if jobs > 1 && scale > 1 then
-            run_parallel ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs
-          else run_sequential ~scale ~seed ~policy ~mutator ~drop ~resume)
 
 let year_range t =
   Hashtbl.fold (fun y _ (lo, hi) -> (min lo y, max hi y)) t.years (9999, 0)

@@ -101,22 +101,29 @@ val run :
     {!Ctlog.Dataset.default_scale}, seed 1) and computes every
     aggregate.
 
-    [jobs] (default 1) selects parallel execution: the index range is
-    split into [jobs] contiguous shards, each processed on its own
-    domain (generation is pure per [(seed, index)], see
-    {!Ctlog.Dataset.generate_at}), and the per-shard aggregates are
-    merged in shard order.  A completed run's aggregate — and therefore
-    the rendered report — is byte-identical for every [jobs] value;
-    only wall-clock telemetry differs.  An *aborted* run (fail-fast /
-    max-errors) is not reproducible across [jobs]: which certificates
-    other shards reached before noticing the stop flag is
-    timing-dependent.  Checkpoints are kept per shard
-    ([file.shard<k>], see {!Faults.Checkpoint.shard_file}); resuming
-    reuses a shard cursor only when its saved range matches, so
-    changing [jobs] between runs safely restarts mismatched shards
-    from their range start.  Quarantine records go to per-shard
-    sidecars folded into the main [quarantine-<seed>.jsonl] in index
-    order when the pass ends.
+    Every run goes through one sharded driver: a source (generated
+    deliveries, fetched items, or stored records) feeds the shards of
+    the index range, each shard folds its records into its own
+    aggregate (and, with a store, a span writer), and the parts merge
+    in shard order.  [jobs] (default 1) is the shard count: [jobs = 1]
+    is one shard, run inline; otherwise each contiguous shard runs on
+    its own domain (generation is pure per [(seed, index)], see
+    {!Ctlog.Dataset.generate_at}).  A completed run's aggregate — and
+    therefore the rendered report — is byte-identical for every
+    [jobs] value; only wall-clock telemetry differs.  An {e aborted}
+    run (fail-fast / max-errors) is not reproducible across [jobs]:
+    which certificates other shards reached before noticing the stop
+    flag is timing-dependent.  The error budget is run-wide
+    ({!Faults.Policy.budget}) and counts the errors resumed cursors
+    carry, so [max_errors = Some n] stops after at most
+    [n + shards - 1] errors at every [jobs].  Checkpoints are kept per
+    shard ([file.shard<k>], see {!Faults.Checkpoint.shard_file}; a
+    [jobs = 1] run's cursor is [file.shard0]) for a storeless
+    generate-source run; resuming reuses a shard cursor only when its
+    saved range matches, so changing [jobs] between runs safely
+    restarts mismatched shards from their range start.  Quarantine
+    records go to per-shard sidecars folded into the main
+    [quarantine-<seed>.jsonl] in index order when the pass ends.
 
     Every certificate is processed behind an error boundary: a failure
     (decode error on a corrupted delivery, a crashing lint that trips
@@ -130,8 +137,9 @@ val run :
     deterministic subset of the corpus before delivery ([drop] delivers
     nothing for those indices instead, so a corrupt run and a drop run
     see byte-identical surviving certificates).  [resume:true] reloads
-    [policy.checkpoint_file] and continues from the saved index when
-    the checkpoint matches [scale] and [seed].
+    the shard cursors of [policy.checkpoint_file] and continues each
+    shard from its saved index when the cursor matches [scale], [seed]
+    and the shard's range.
 
     With [source = Fetch cfg] the corpus is not regenerated locally:
     it is fetched page by page from [cfg.logs] simulated CT logs
@@ -150,7 +158,8 @@ val run :
     With [store = Some dir] the run lands in the crash-safe on-disk
     store ({!Store.Db}, DESIGN.md §11) instead of being transient:
 
-    - a {e cold} run populates [dir] shard by shard — every certificate
+    - a {e cold} run populates [dir] shard by shard, for the generate
+      and the fetch source alike — every certificate
       and its analysis row are appended to checksummed segments and the
       inventory is committed by atomic rename, so killing the process
       at any point leaves a store that {!Store.Db.recover} normalizes;
@@ -164,6 +173,9 @@ val run :
     - a re-run after the lint registry changed recomputes {e only} the
       missing lint columns from stored DER and republishes the rows
       and indexes in one atomic commit.
+
+    Warm and incremental runs shard by stored span: each span is
+    handled whole by the shard holding its first index.
 
     The store records its identity (scale, seed, source + mutation
     fingerprint); reusing a directory under different parameters raises
@@ -258,11 +270,6 @@ val save_indexes :
   (string * string * string) list
 (** Seal each named index into the store directory; returns manifest
     [(name, file, sha)] descriptors. *)
-
-val append_fault :
-  Store.Db.pair_writer -> index:int -> der:string -> Faults.Error.t -> unit
-(** Land a corrupt delivery as a fault record (row ["F"]), preserving
-    the fault ledger for warm replays. *)
 
 val store_fingerprint :
   mutator:Faults.Mutator.plan option -> drop:bool -> source:source -> string

@@ -466,7 +466,36 @@ let test_resume () =
     resumed.Unicert.Pipeline.faults.Unicert.Pipeline.fault_errors;
   check Alcotest.bool "resumed run completed" true
     (resumed.Unicert.Pipeline.faults.Unicert.Pipeline.aborted = None);
-  Sys.remove file
+  (* The budget also counts the errors the resumed cursors carry, so
+     --max-errors means the same thing at every --jobs: at most one
+     error per other shard lands before the stop flag is seen. *)
+  let limit = 8 in
+  let cursors jobs =
+    List.mapi (fun k _ -> Faults.Checkpoint.shard_file file k) (Par.shards ~jobs scale)
+  in
+  let verdicts =
+    List.map
+      (fun jobs ->
+        List.iter (fun f -> if Sys.file_exists f then Sys.remove f) (cursors 4);
+        ignore
+          (Unicert.Pipeline.run ~scale ~seed ~policy:(ckpt (Some 5)) ~mutator:plan
+             ~jobs ());
+        let t =
+          Unicert.Pipeline.run ~scale ~seed ~policy:(ckpt (Some limit))
+            ~mutator:plan ~jobs ~resume:true ()
+        in
+        let f = t.Unicert.Pipeline.faults in
+        check Alcotest.bool
+          (Printf.sprintf "jobs=%d: resumed errors charged to the budget" jobs)
+          true
+          (f.Unicert.Pipeline.fault_errors
+          <= limit + List.length (cursors jobs) - 1);
+        f.Unicert.Pipeline.aborted <> None)
+      [ 1; 2 ]
+  in
+  check Alcotest.(list bool) "same aborted verdict at jobs 1 and 2" [ true; true ]
+    verdicts;
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) (file :: cursors 4)
 
 (* --- harness crash accounting ----------------------------------------- *)
 
