@@ -1,6 +1,5 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md §3 for the index), then runs
-   Bechamel micro-benchmarks over the core code paths.
+   paper's evaluation (see DESIGN.md §3 for the index).
 
    Environment knobs: UNICERT_SCALE (corpus size, default
    Ctlog.Dataset.default_scale) and UNICERT_SEED (default 1). *)
@@ -35,7 +34,4 @@ let () =
   Middlebox.Evasion.render Format.std_formatter;
 
   banner "Appendix F.1 — Browser rendering (TAB14, FIG7)";
-  Unicert.Browsers.render Format.std_formatter;
-
-  banner "Micro-benchmarks (Bechamel)";
-  Bench_micro.run ()
+  Unicert.Browsers.render Format.std_formatter

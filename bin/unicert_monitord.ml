@@ -32,7 +32,7 @@ type feed_state = {
   mutable mark : int;
   mutable next : int;
   mutable pending : (Store.Db.record * string) list;  (* newest first *)
-  mutable staged_count : int;
+  mutable staged_count : int;  (* entries staged since startup *)
   mutable last_cov : Ctlog.Fetch.coverage option;
   mutable degraded : bool;
 }
@@ -48,6 +48,28 @@ let obs_ticks =
     (Obs.Registry.counter ~help:"Ingest ticks processed"
        "unicert_monitord_ticks_total")
 
+(* Stage one analyzed row's serving material: its index entries into
+   the commit accumulator, its subject fields and per-index postings
+   into the query service.  Shared by fresh ingest and the restart
+   replay of committed rows. *)
+let stage_row service acc row =
+  Unicert.Pipeline.add_index_entries acc row;
+  Monitors.Service.stage_fields service ~id:(Unicert.Pipeline.row_index row)
+    ~cns:(Unicert.Pipeline.row_cns row)
+    ~sans:(Unicert.Pipeline.row_domains row)
+    ~attrs:(Unicert.Pipeline.row_attrs row);
+  let one = Unicert.Pipeline.fresh_acc () in
+  Unicert.Pipeline.add_index_entries one row;
+  List.iter
+    (fun (ix, entries) ->
+      List.iter
+        (fun (key, ids) ->
+          List.iter
+            (fun id -> Monitors.Service.stage_index service ~index:ix ~key ~id)
+            ids)
+        entries)
+    (Unicert.Pipeline.merge_accs [ one ])
+
 (* Stage one fetched item: analyze (Got) or record the fault
    (Undecodable), queue the durable record, and stage the service
    material derived from the row alone. *)
@@ -56,22 +78,7 @@ let stage_item service acc fs item =
     match (item : Ctlog.Fetch.item) with
     | Ctlog.Fetch.Got (index, entry) ->
         let row = Unicert.Pipeline.analyze_entry entry ~index in
-        Unicert.Pipeline.add_index_entries acc row;
-        Monitors.Service.stage_fields service ~id:index
-          ~cns:(Unicert.Pipeline.row_cns row)
-          ~sans:(Unicert.Pipeline.row_domains row)
-          ~attrs:(Unicert.Pipeline.row_attrs row);
-        let one = Unicert.Pipeline.fresh_acc () in
-        Unicert.Pipeline.add_index_entries one row;
-        List.iter
-          (fun (ix, entries) ->
-            List.iter
-              (fun (key, ids) ->
-                List.iter
-                  (fun id -> Monitors.Service.stage_index service ~index:ix ~key ~id)
-                  ids)
-              entries)
-          (Unicert.Pipeline.merge_accs [ one ]);
+        stage_row service acc row;
         ( Store.Db.Cert
             { index; der = entry.Ctlog.Dataset.cert.X509.Certificate.der },
           Unicert.Pipeline.encode_row row )
@@ -87,27 +94,6 @@ let stage_item service acc fs item =
   in
   fs.pending <- (record, rowstr) :: fs.pending;
   fs.staged_count <- fs.staged_count + 1
-
-(* Stage a replayed committed row (restart path): service material
-   only — the record is already durable. *)
-let stage_replayed service acc row =
-  let id = Unicert.Pipeline.row_index row in
-  Unicert.Pipeline.add_index_entries acc row;
-  Monitors.Service.stage_fields service ~id
-    ~cns:(Unicert.Pipeline.row_cns row)
-    ~sans:(Unicert.Pipeline.row_domains row)
-    ~attrs:(Unicert.Pipeline.row_attrs row);
-  let one = Unicert.Pipeline.fresh_acc () in
-  Unicert.Pipeline.add_index_entries one row;
-  List.iter
-    (fun (ix, entries) ->
-      List.iter
-        (fun (key, ids) ->
-          List.iter
-            (fun i -> Monitors.Service.stage_index service ~index:ix ~key ~id:i)
-            ids)
-        entries)
-    (Unicert.Pipeline.merge_accs [ one ])
 
 (* --- the select-based stdin reader -------------------------------------
 
@@ -242,9 +228,12 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
                         "stored row %d undecodable (%s); run `unicert-store \
                          fsck`"
                         index e))
-            | Ok row -> stage_replayed service acc row)
+            | Ok row -> stage_row service acc row)
       end);
   Monitors.Service.commit service ~upto:!n_committed;
+  (* Rows below the marks are already landed: the ingest lag counts
+     them alongside everything staged since startup. *)
+  let n_replayed = !n_committed in
   (* Republish at least the trusted STH before the first poll — a
      smaller published head reads as a shrinking tree (split view). *)
   List.iter
@@ -292,7 +281,7 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     in
     let staged = List.fold_left (fun a fs -> a + fs.staged_count) 0 states in
     Obs.Gauge.set (Lazy.force obs_lag)
-      (float_of_int (max 0 (published - staged - !n_committed)))
+      (float_of_int (max 0 (published - n_replayed - staged)))
   in
   let do_commit () =
     let fresh =

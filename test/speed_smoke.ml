@@ -1,59 +1,125 @@
-(* @speed-smoke: fast guard on the fused analysis engine, attached to
-   @runtest.
+(* @speed-smoke: deterministic allocation gates, attached to @runtest.
 
-   Two checks: (1) a small corpus rendered through the fused fact-table
-   engine is byte-identical to the retained legacy (per-stage) engine;
-   (2) the recorded BENCH_speed.json baseline still matches the live
-   engine interface — the lint registry fingerprint it embeds must
-   equal the current {!Unicert.Pipeline.lints_signature}, so a lint
-   added or removed without re-running the benchmark fails tier-1. *)
+   Wall clock on a shared host swings by tens of percent between
+   back-to-back runs; minor-heap allocation per certificate does not.
+   Each gate runs the same pair of passes its budget was defined over
+   (scale 2000, seed 1, jobs 1, so every word lands on this domain),
+   counts [Gc.minor_words] per certificate on both sides, and compares
+   the ratio against the budget:
 
-let scale = 300
-let seed = 3
+   - trace: a traced pass allocates at most 1.05x an untraced one;
+   - warm: a warm [~store] replay allocates at least 5x fewer words
+     than a storeless full pass;
+   - boundary: the pass with the {!Faults.Isolation} error boundaries
+     on allocates at most 1.03x the pass with them off;
+   - fetch: fetching the corpus at a 10% transport fault rate
+     allocates at most 1.5x the clean fetch, and both fetches reach
+     complete coverage.
 
-let fail fmt =
-  Printf.ksprintf
-    (fun m ->
-      prerr_endline ("speed-smoke: FAIL: " ^ m);
-      exit 1)
-    fmt
+   The cold store pass and the fetch drift by a fraction of a word per
+   certificate between runs, so gates compare ratios, never exact
+   counts.  Wall-clock views of the same budgets live in perfbench
+   ([obs.trace_overhead_pct], [store.replay_rows_per_s],
+   [fetch.retries_per_entry]). *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let scale = 2000
+let seed = 1
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
+let failures = ref 0
 
-let report t = Format.asprintf "%a" Unicert.Report.all t
+(* Minor words allocated per certificate by [f ()]. *)
+let words_per_cert f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. before) /. float_of_int scale
+
+let pass ?store () =
+  let t = Unicert.Pipeline.run ~scale ~seed ~jobs:1 ?store () in
+  if t.Unicert.Pipeline.total <> scale then begin
+    Printf.printf "speed-smoke: FAIL: pass processed %d of %d certificates\n"
+      t.Unicert.Pipeline.total scale;
+    exit 1
+  end
+
+(* One gate line: the measured [ratio] against its [bound]; [ok]
+   carries any side condition the gate also requires. *)
+let gate name ~detail ?(ok = true) ratio bound =
+  let within, budget =
+    match bound with
+    | `At_most b -> (ratio <= b, Printf.sprintf "<= %.3fx" b)
+    | `At_least b -> (ratio >= b, Printf.sprintf ">= %.3fx" b)
+  in
+  let within = ok && within in
+  Printf.printf "speed-smoke: %-8s ratio %6.3fx (budget %s) %-4s %s\n" name
+    ratio budget
+    (if within then "ok" else "FAIL")
+    detail;
+  if not within then incr failures
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let fetch ~fault_rate () =
+  let cfg =
+    { Ctlog.Fetch.default_cfg with Ctlog.Fetch.net_seed = Some 13; fault_rate }
+  in
+  let complete = ref true in
+  let w =
+    words_per_cert (fun () ->
+        let _, covs = Ctlog.Fetch.corpus ~scale ~seed cfg in
+        complete := List.for_all Ctlog.Fetch.coverage_complete covs)
+  in
+  (w, !complete)
 
 let () =
   Obs.Progress.set_override (Some false);
-  Unicert.Pipeline.use_reference_engine false;
-  let fused = report (Unicert.Pipeline.run ~scale ~seed ()) in
-  Unicert.Pipeline.use_reference_engine true;
-  let legacy = report (Unicert.Pipeline.run ~scale ~seed ()) in
-  Unicert.Pipeline.use_reference_engine false;
-  if fused <> legacy then
-    fail "fused report differs from the legacy engine at scale %d" scale;
+  (* Force lazy instrument tables and lint registries outside the
+     counted passes. *)
+  pass ();
+  let plain = words_per_cert pass in
 
-  let bench_path =
-    if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_speed.json"
+  Obs.Trace.enable ();
+  let traced = words_per_cert pass in
+  Obs.Trace.disable ();
+  gate "trace"
+    ~detail:(Printf.sprintf "traced %.1f / untraced %.1f w/cert" traced plain)
+    (traced /. plain) (`At_most 1.05);
+
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "unicert-speed-smoke-%d" (Unix.getpid ()))
   in
-  let json =
-    try read_file bench_path
-    with Sys_error m -> fail "cannot read recorded benchmark %s: %s" bench_path m
-  in
-  let expected =
-    Ucrypto.Sha256.hex (Unicert.Pipeline.lints_signature ())
-  in
-  if not (contains ~needle:("\"" ^ expected ^ "\"") json) then
-    fail
-      "BENCH_speed.json is stale: its lints_signature_sha256 does not match \
-       the live lint registry (%s) — re-run bench_speed"
-      expected;
+  rm_rf dir;
+  pass ~store:dir ();
+  let warm = words_per_cert (pass ~store:dir) in
+  rm_rf dir;
+  gate "warm"
+    ~detail:(Printf.sprintf "full %.1f / warm replay %.1f w/cert" plain warm)
+    (plain /. warm) (`At_least 5.0);
+
+  Faults.Isolation.set false;
+  let unguarded = words_per_cert pass in
+  Faults.Isolation.set true;
+  gate "boundary"
+    ~detail:(Printf.sprintf "on %.1f / off %.1f w/cert" plain unguarded)
+    (plain /. unguarded) (`At_most 1.03);
+
+  let clean, clean_complete = fetch ~fault_rate:0.0 () in
+  let faulty, faulty_complete = fetch ~fault_rate:0.1 () in
+  let coverage = function true -> "complete" | false -> "INCOMPLETE" in
+  gate "fetch"
+    ~detail:
+      (Printf.sprintf "10%% faults %.1f / clean %.1f w/entry, coverage %s/%s"
+         faulty clean (coverage faulty_complete) (coverage clean_complete))
+    ~ok:(clean_complete && faulty_complete)
+    (faulty /. clean) (`At_most 1.5);
+
+  if !failures > 0 then begin
+    Printf.printf "speed-smoke: %d gate(s) failed\n" !failures;
+    exit 1
+  end;
   print_endline "speed-smoke: OK"

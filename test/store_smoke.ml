@@ -3,7 +3,8 @@
    Exercises the crash-safe store contract the way an operator hits it:
 
    - a cold store-backed run renders the byte-identical report of a
-     storeless run, and leaves a complete store behind;
+     storeless run, and leaves a complete store behind that fsck
+     finds clean;
    - a warm replay (no DER parsing, no lint execution) renders the
      same bytes again;
    - a bit flip in a sealed segment is detected by fsck, which reports
@@ -46,6 +47,8 @@ let () =
   if cold <> plain then fail "cold store-backed report differs from storeless run";
   if not (Store.Db.complete (Store.Db.open_ro ~dir)) then
     fail "store not complete after the cold build";
+  if (Store.Db.fsck ~dir ()).Store.Db.issues <> [] then
+    fail "fsck found issues in a freshly built store";
 
   (* Warm replay. *)
   let warm = report (Unicert.Pipeline.run ~scale ~seed ~store:dir ()) in
