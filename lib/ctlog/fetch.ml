@@ -308,15 +308,26 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
       | None -> ());
       ignore (Faults.Breaker.allow ~now:(now ()) breaker)
     end;
+    (* Every body the client accepts is seal-checked exactly once:
+       the validation keeps the lines it opened, keyed by the body it
+       opened them from (a hedged tail page can validate two). *)
+    let opened = ref [] in
+    let validate body =
+      match Wire.open_ body with
+      | Some lines ->
+          opened := (body, lines) :: !opened;
+          true
+      | None -> false
+    in
     match
-      Net.Client.request ~policy ~bucket ~hedge ~validate:Wire.valid ~transport
-        ~log:name ~endpoint ~page ()
+      Net.Client.request ~policy ~bucket ~hedge ~validate ~transport ~log:name
+        ~endpoint ~page ()
     with
     | Ok f ->
         incr requests;
         retries := !retries + f.Net.Client.attempts - 1;
         Faults.Breaker.success breaker;
-        Wire.open_ f.Net.Client.body
+        Some (List.assq f.Net.Client.body !opened)
     | Error e ->
         incr requests;
         retries := !retries + attempts_of_error e - 1;
@@ -645,7 +656,10 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
    (trusted STH, pending window, cumulative deliveries) from one poll
    to the next.  The server starts with nothing published; the driver
    grows it with {!feed_publish} and each {!poll} runs an ordinary
-   {!fetch_log} session against the currently published head. *)
+   {!fetch_log} session against the currently published head, then
+   hands back only the deliveries this feed value has not returned
+   yet ([f_returned]: counts of the cursor's delivered and quarantined
+   streams already handed out). *)
 type feed = {
   f_k : int;
   f_name : string;
@@ -659,6 +673,7 @@ type feed = {
   f_cfg : cfg;
   f_scale : int;
   f_seed : int;
+  mutable f_returned : int * int;
 }
 
 let feed_name f = f.f_name
@@ -713,6 +728,7 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
         f_cfg = cfg;
         f_scale = scale;
         f_seed = seed;
+        f_returned = (0, 0);
       })
     parts
 
@@ -729,7 +745,15 @@ let feed_trusted f =
       Option.map fst c.Faults.Checkpoint.state.c_verified
   | _ -> None
 
+(* The cursor's streams only grow at their newest end, so what this
+   feed returned before is a prefix of each ascending stream. *)
 let poll ?stop_after_pages f =
-  fetch_log ~ckpt_file:f.f_ckpt ~resume:true ?stop_after_pages ~cfg:f.f_cfg
-    ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name ~present:f.f_present
-    ~transport:f.f_transport ~bucket:f.f_bucket ()
+  let s =
+    fetch_log ~ckpt_file:f.f_ckpt ~resume:true ?stop_after_pages ~cfg:f.f_cfg
+      ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name ~present:f.f_present
+      ~transport:f.f_transport ~bucket:f.f_bucket ()
+  in
+  let raw_seen, quar_seen = f.f_returned in
+  f.f_returned <- (s.s_cov.delivered, s.s_cov.quarantined);
+  let since n = List.filteri (fun i _ -> i >= n) in
+  { s with s_raw = since raw_seen s.s_raw; s_quar = since quar_seen s.s_quar }

@@ -172,9 +172,14 @@ val feed_trusted : feed -> int option
 
 val poll : ?stop_after_pages:int -> feed -> session
 (** Run one fetch session against the currently published head,
-    resuming from (and saving) the feed's cursor.  [s_raw] is
-    cumulative across polls — the driver filters by its own
-    watermark. *)
+    resuming from (and saving) the feed's cursor.  Each delivery
+    ([s_raw]) and quarantined entry ([s_quar]) is returned once per
+    feed value: a poll returns only what this feed has not returned
+    before, so its cost follows what arrived, not the log's history.
+    A fresh feed (e.g. after a process restart) first re-delivers the
+    cursor's whole retained history — the driver filters by its own
+    watermark.  Coverage ([s_cov]) stays cumulative over the cursor's
+    lifetime. *)
 
 val items_of_session : session -> item list
 (** One session's delivered + quarantined streams merged back into a

@@ -6,8 +6,10 @@ type t = {
   secret : string;
   mac : Ucrypto.Sha256.hmac_key;  (* precomputed midstates for [secret] *)
   tree : Merkle.t;
-  mutable stored : entry list;  (* newest first *)
+  mutable stored : entry array;  (* by index; [Merkle.size tree] filled *)
 }
+
+let no_entry = { index = -1; der = ""; precert = false }
 
 let create ~name =
   let secret = Ucrypto.Sha256.digest ("ct-log-secret:" ^ name) in
@@ -16,7 +18,7 @@ let create ~name =
     secret;
     mac = Ucrypto.Sha256.hmac_init secret;
     tree = Merkle.create ();
-    stored = [];
+    stored = Array.make 16 no_entry;
   }
 
 let log_id t = t.id
@@ -26,7 +28,12 @@ let leaf_bytes ~precert der = (if precert then "\x01" else "\x00") ^ der
 let add_chain t ?(precert = false) der =
   let leaf = leaf_bytes ~precert der in
   let index = Merkle.append t.tree leaf in
-  t.stored <- { index; der; precert } :: t.stored;
+  if index = Array.length t.stored then begin
+    let bigger = Array.make (2 * index) no_entry in
+    Array.blit t.stored 0 bigger 0 index;
+    t.stored <- bigger
+  end;
+  t.stored.(index) <- { index; der; precert };
   {
     log_id = t.id;
     timestamp = index;
@@ -45,9 +52,14 @@ let verify_sct t ~der sct =
   check precert_leaf || check cert_leaf
 
 let tree t = t.tree
-let entries t = List.rev t.stored
 let size t = Merkle.size t.tree
+
+let slice t lo hi =
+  if lo < 0 || lo > hi || hi > size t then invalid_arg "Ctlog.Log.slice";
+  Array.to_list (Array.sub t.stored lo (hi - lo))
+
+let entries t = slice t 0 (size t)
 let tree_head t = Merkle.root t.tree
 let prove_inclusion t i = Merkle.inclusion_proof t.tree i
 let prove_consistency t m = Merkle.consistency_proof t.tree m
-let get t i = List.find_opt (fun e -> e.index = i) (entries t)
+let get t i = if i >= 0 && i < size t then Some t.stored.(i) else None

@@ -33,6 +33,10 @@ val verify_sct : t -> der:string -> sct -> bool
 val entries : t -> entry list
 (** All entries, oldest first. *)
 
+val slice : t -> int -> int -> entry list
+(** [slice t lo hi] is the entries with index in [\[lo, hi)], oldest
+    first, in O(hi - lo). *)
+
 val size : t -> int
 val tree_head : t -> string
 
@@ -40,3 +44,4 @@ val prove_inclusion : t -> int -> string list
 val prove_consistency : t -> int -> string list
 
 val get : t -> int -> entry option
+(** [get t i] is entry [i], in O(1). *)

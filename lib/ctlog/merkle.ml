@@ -1,17 +1,26 @@
-type t = { mutable hashes : string array; mutable len : int }
+(* Node hashes in the flat in-order layout: leaf [i] sits at [2i], and
+   the complete, aligned subtree of [2^k] leaves starting at leaf [lo]
+   at [2 lo + 2^k - 1].  Leaf slots are filled by [append]; interior
+   slots are memoised the first time a range computation crosses them
+   ([""] = not yet computed).  Only complete subtrees are ever stored,
+   and their hash cannot change once their leaves exist, so a memo
+   entry is never stale: once the memo is warm a tree head over any
+   size hashes O(log n) nodes, and a proof O(log^2 n) at most. *)
+type t = { mutable nodes : string array; mutable len : int }
 
-let create () = { hashes = Array.make 16 ""; len = 0 }
+let create () = { nodes = Array.make 32 ""; len = 0 }
 
 let leaf_hash data = Ucrypto.Sha256.digest ("\x00" ^ data)
 let node_hash l r = Ucrypto.Sha256.digest ("\x01" ^ l ^ r)
+let empty_root = Ucrypto.Sha256.digest ""
 
 let append t leaf =
-  if t.len = Array.length t.hashes then begin
-    let bigger = Array.make (2 * t.len) "" in
-    Array.blit t.hashes 0 bigger 0 t.len;
-    t.hashes <- bigger
+  if 2 * t.len >= Array.length t.nodes then begin
+    let bigger = Array.make (2 * Array.length t.nodes) "" in
+    Array.blit t.nodes 0 bigger 0 (Array.length t.nodes);
+    t.nodes <- bigger
   end;
-  t.hashes.(t.len) <- leaf_hash leaf;
+  t.nodes.(2 * t.len) <- leaf_hash leaf;
   t.len <- t.len + 1;
   t.len - 1
 
@@ -25,35 +34,48 @@ let split_point n =
   done;
   !k
 
-(* MTH over hashes[lo, hi). *)
-let rec mth hashes lo hi =
+(* MTH over leaves [lo, hi).  A power-of-two range starting at a
+   multiple of its size is a complete subtree, so it goes through the
+   memo; the RFC 6962 split sends every left branch to such a range. *)
+let rec mth t lo hi =
   let n = hi - lo in
-  if n = 0 then Ucrypto.Sha256.digest ""
-  else if n = 1 then hashes.(lo)
+  if n = 0 then empty_root
+  else if n = 1 then t.nodes.(2 * lo)
+  else if n land (n - 1) = 0 && lo land (n - 1) = 0 then begin
+    let slot = (2 * lo) + n - 1 in
+    let h = t.nodes.(slot) in
+    if String.length h > 0 then h
+    else begin
+      let half = n / 2 in
+      let h = node_hash (mth t lo (lo + half)) (mth t (lo + half) hi) in
+      t.nodes.(slot) <- h;
+      h
+    end
+  end
   else begin
     let k = split_point n in
-    node_hash (mth hashes lo (lo + k)) (mth hashes (lo + k) hi)
+    node_hash (mth t lo (lo + k)) (mth t (lo + k) hi)
   end
 
-let root t = mth t.hashes 0 t.len
+let root t = mth t 0 t.len
 
 let root_of_range t n =
   if n < 0 || n > t.len then invalid_arg "Merkle.root_of_range";
-  mth t.hashes 0 n
+  mth t 0 n
 
-(* PATH(m, D[n]) per RFC 6962 §2.1.1, over hashes[lo, hi). *)
-let rec path hashes m lo hi =
+(* PATH(m, D[n]) per RFC 6962 §2.1.1, over leaves [lo, hi). *)
+let rec path t m lo hi =
   let n = hi - lo in
   if n <= 1 then []
   else begin
     let k = split_point n in
-    if m < k then path hashes m lo (lo + k) @ [ mth hashes (lo + k) hi ]
-    else path hashes (m - k) (lo + k) hi @ [ mth hashes lo (lo + k) ]
+    if m < k then path t m lo (lo + k) @ [ mth t (lo + k) hi ]
+    else path t (m - k) (lo + k) hi @ [ mth t lo (lo + k) ]
   end
 
 let inclusion_proof t i =
   if i < 0 || i >= t.len then invalid_arg "Merkle.inclusion_proof";
-  path t.hashes i 0 t.len
+  path t i 0 t.len
 
 let verify_inclusion ~leaf ~index ~size ~proof ~root =
   if index >= size then false
@@ -84,18 +106,18 @@ let verify_inclusion ~leaf ~index ~size ~proof ~root =
   end
 
 (* SUBPROOF(m, D[n], b) per RFC 6962 §2.1.2. *)
-let rec subproof hashes m lo hi b =
+let rec subproof t m lo hi b =
   let n = hi - lo in
-  if m = n then if b then [] else [ mth hashes lo hi ]
+  if m = n then if b then [] else [ mth t lo hi ]
   else begin
     let k = split_point n in
-    if m <= k then subproof hashes m lo (lo + k) b @ [ mth hashes (lo + k) hi ]
-    else subproof hashes (m - k) (lo + k) hi false @ [ mth hashes lo (lo + k) ]
+    if m <= k then subproof t m lo (lo + k) b @ [ mth t (lo + k) hi ]
+    else subproof t (m - k) (lo + k) hi false @ [ mth t lo (lo + k) ]
   end
 
 let consistency_proof t m =
   if m < 0 || m > t.len then invalid_arg "Merkle.consistency_proof";
-  if m = 0 || m = t.len then [] else subproof t.hashes m 0 t.len true
+  if m = 0 || m = t.len then [] else subproof t m 0 t.len true
 
 (* Consistency between two historical sizes m <= n <= len: the proof a
    log server answers for get-consistency(first=m, second=n) even after
@@ -103,7 +125,7 @@ let consistency_proof t m =
 let consistency_proof_range t m n =
   if m < 0 || m > n || n > t.len then
     invalid_arg "Merkle.consistency_proof_range";
-  if m = 0 || m = n then [] else subproof t.hashes m 0 n true
+  if m = 0 || m = n then [] else subproof t m 0 n true
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

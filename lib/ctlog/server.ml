@@ -56,6 +56,16 @@ let equivocating t =
   | Some (at_request, _) -> t.requests > at_request
   | None -> false
 
+(* [der] with its first byte's low bit flipped: the forked world's
+   bytes for the equivocated leaf. *)
+let flip_der der =
+  if String.length der = 0 then der
+  else begin
+    let b = Bytes.of_string der in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
+    Bytes.to_string b
+  end
+
 (* The shadow tree: the log's leaves with leaf [flip] bit-flipped —
    a view that shares no consistent history with the real one. *)
 let shadow_tree t flip =
@@ -66,14 +76,7 @@ let shadow_tree t flip =
       let tree = Merkle.create () in
       List.iter
         (fun (e : Log.entry) ->
-          let der =
-            if e.Log.index = flip && String.length e.Log.der > 0 then begin
-              let b = Bytes.of_string e.Log.der in
-              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-              Bytes.to_string b
-            end
-            else e.Log.der
-          in
+          let der = if e.Log.index = flip then flip_der e.Log.der else e.Log.der in
           ignore (Merkle.append tree (Log.leaf_bytes ~precert:e.Log.precert der)))
         (Log.entries t.log);
       t.shadow <- Some (size, tree);
@@ -115,27 +118,16 @@ let handle t (req : Net.Transport.request) =
         | Some (at_request, flip) when t.requests > at_request -> flip
         | _ -> -1
       in
-      let lines = ref [] in
-      List.iter
-        (fun (e : Log.entry) ->
-          if e.Log.index >= start && e.Log.index < stop then begin
+      let lines =
+        List.map
+          (fun (e : Log.entry) ->
             let der =
-              if e.Log.index = flipped && String.length e.Log.der > 0 then begin
-                let b = Bytes.of_string e.Log.der in
-                Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-                Bytes.to_string b
-              end
-              else e.Log.der
+              if e.Log.index = flipped then flip_der e.Log.der else e.Log.der
             in
-            lines :=
-              Printf.sprintf "%d %s"
-                (if e.Log.precert then 1 else 0)
-                (Wire.to_hex der)
-              :: !lines
-          end)
-        (Log.entries t.log);
-      Wire.seal (Printf.sprintf "entries %d %d" start (stop - start)
-                 :: List.rev !lines)
+            (if e.Log.precert then "1 " else "0 ") ^ Wire.to_hex der)
+          (Log.slice t.log start stop)
+      in
+      Wire.seal (Printf.sprintf "entries %d %d" start (stop - start) :: lines)
     end
   end
   else begin

@@ -6,31 +6,8 @@
    truncation / bit corruption — retryable) from well-formed data whose
    *content* is bad (a corrupt DER — quarantinable). *)
 
-let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else begin
-    let nib c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let b = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (nib s.[2 * i], nib s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some (Bytes.to_string b) else None
-  end
+let to_hex = Ucrypto.Hex.encode
+let of_hex = Ucrypto.Hex.decode
 
 let seal lines =
   let payload = String.concat "\n" lines ^ "\n" in

@@ -8,7 +8,10 @@ exception Invalid of string
    a run the operator believed was resumable. *)
 let magic = "UNICERT-CKPT2\n"
 let old_magics = [ "UNICERT-CKPT1\n" ]
-let version = 2
+
+(* Bump on any change to a marshalled state type.  v003: the fetch
+   cursor's [Merkle.t] gained its subtree-hash memo. *)
+let version = 3
 let version_line = Printf.sprintf "v%03d\n" version
 
 let shard_file path shard = Printf.sprintf "%s.shard%d" path shard

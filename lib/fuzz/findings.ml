@@ -24,10 +24,7 @@ type finding = {
 let cluster_id ~cls ~signature =
   cls ^ "-" ^ String.sub (Ucrypto.Sha256.hex signature) 0 8
 
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+let hex_of_string = Ucrypto.Hex.encode
 
 let string_of_hex h =
   let n = String.length h in

@@ -17,11 +17,11 @@ type entry = { e_id : int; e_keys : string list }
 type t = {
   mu : Mutex.t;
   mutable staged : (string * entry) list;  (* (profile key, entry), newest first *)
-  serving : (string, entry list) Hashtbl.t;  (* profile key -> ascending id *)
+  serving : (string, entry list) Hashtbl.t;  (* profile key -> newest first *)
   mutable staged_ix : (string * (string * int)) list;
       (* (index name, (key, id)), newest first *)
   serving_ix : (string, (string, int list) Hashtbl.t) Hashtbl.t;
-      (* index name -> key -> ids, ascending *)
+      (* index name -> key -> ids, newest first *)
   mutable committed : int;  (* corpus indexes below this are published *)
 }
 
@@ -80,22 +80,21 @@ let stage_index t ~index ~key ~id =
 
 let commit t ~upto =
   locked t (fun () ->
-      (* Staged lists are newest-first; appending their reversal keeps
-         every serving list ascending by id. *)
-      List.iter
-        (fun (pk, e) ->
-          match Hashtbl.find_opt t.serving pk with
-          | Some es -> Hashtbl.replace t.serving pk (es @ [ e ])
-          | None -> Hashtbl.replace t.serving pk [ e ])
-        (List.rev t.staged);
+      (* Serving lists are newest-first, so a commit prepends its batch
+         (walked oldest first) and costs O(staged), whatever the size
+         of the corpus already served.  No reply depends on list
+         order: [hits] sorts. *)
+      let prepend tbl key x =
+        Hashtbl.replace tbl key
+          (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+      in
+      List.iter (fun (pk, e) -> prepend t.serving pk e) (List.rev t.staged);
       t.staged <- [];
       List.iter
         (fun (ix, (key, id)) ->
-          match Hashtbl.find_opt t.serving_ix ix with
-          | None -> ()
-          | Some tbl ->
-              let ids = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-              Hashtbl.replace tbl key (ids @ [ id ]))
+          Option.iter
+            (fun tbl -> prepend tbl key id)
+            (Hashtbl.find_opt t.serving_ix ix))
         (List.rev t.staged_ix);
       t.staged_ix <- [];
       t.committed <- max t.committed upto)

@@ -29,7 +29,8 @@ val stage_index : t -> index:string -> key:string -> id:int -> unit
 
 val commit : t -> upto:int -> unit
 (** Publish everything staged and raise the committed watermark to
-    [upto] (never lowers). *)
+    [upto] (never lowers).  Costs O(staged): time and allocation do
+    not grow with the number of entries already committed. *)
 
 val committed : t -> int
 

@@ -127,14 +127,17 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
         Transport.call transport ~attempt ~deadline:policy.Policy.attempt_deadline
           req
       in
-      let resp =
+      (* Each response's body is validated exactly once; [ok] is the
+         accepted body, if any. *)
+      let resp, ok =
         (* Hedge: on a tail page, when the primary attempt failed or ran
            past [hedge_after], fire one duplicate attempt in a disjoint
            fault namespace and take whichever succeeded.  The virtual
            model is sequential, so the hedge's latency is additive; its
            value is skipping a full backoff cycle. *)
+        let ok = good ~validate resp in
         let slow = Clock.now clock -. t0 > policy.Policy.hedge_after in
-        if hedge && attempt = 0 && (good ~validate resp = None || slow) then begin
+        if hedge && attempt = 0 && (Option.is_none ok || slow) then begin
           hedged := true;
           incr attempts;
           Obs.Counter.inc (Lazy.force obs_hedges);
@@ -143,10 +146,12 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
               ~deadline:policy.Policy.attempt_deadline req
           in
           let outcome, winner =
-            match (good ~validate resp, good ~validate r2) with
-            | Some _, _ -> ("primary_won", resp)
-            | None, Some _ -> ("hedge_won", r2)
-            | None, None -> ("both_failed", resp)
+            match ok with
+            | Some _ -> ("primary_won", (resp, ok))
+            | None -> (
+                match good ~validate r2 with
+                | Some _ as ok2 -> ("hedge_won", (r2, ok2))
+                | None -> ("both_failed", (resp, None)))
           in
           Obs.Counter.inc
             (Obs.Counter.Labeled.get (Lazy.force obs_hedge_outcomes) outcome);
@@ -158,11 +163,11 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
               "hedge";
           winner
         end
-        else resp
+        else (resp, ok)
       in
-      (match resp with
-      | Transport.Body b when validate b -> finish b
-      | Transport.Retry_later { after; _ } ->
+      (match (ok, resp) with
+      | Some b, _ -> finish b
+      | None, Transport.Retry_later { after; _ } ->
           Obs.Counter.inc (Lazy.force obs_rate_limited);
           if traced then
             Obs.Trace.instant ~cat:"net"
@@ -171,8 +176,9 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
           (match bucket with
           | Some b -> Bucket.penalize b ~seconds:after
           | None -> Clock.advance clock after)
-      | Transport.Body _ (* torn page: checksum rejected *)
-      | Transport.Error_status _ | Transport.Timed_out | Transport.Reset ->
+      | None, (Transport.Body _ (* torn page: checksum rejected *)
+              | Transport.Error_status _ | Transport.Timed_out | Transport.Reset)
+        ->
           ());
       let waited = Clock.now clock -. started in
       if waited > policy.Policy.request_budget then

@@ -32,7 +32,9 @@ val request :
   unit ->
   (fetched, error) result
 (** [validate] rejects torn bodies (checksum check) — a [Body] failing
-    it counts as a retryable fault.  [hedge] fires one duplicate
+    it counts as a retryable fault.  It is called at most once per
+    received body, and the accepted [body] is one it returned [true]
+    for, so a caller can keep what its validation decoded.  [hedge] fires one duplicate
     attempt (disjoint fault namespace) when the primary attempt fails
     or runs past [policy.hedge_after]. *)
 

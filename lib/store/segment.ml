@@ -25,11 +25,7 @@ type writer = {
   mutable poisoned : bool;
 }
 
-let digest_hex headers n =
-  let open Ucrypto in
-  let h = Sha256.digest (headers ^ u32be n) in
-  (* Render binary digest as lowercase hex. *)
-  String.concat "" (List.init (String.length h) (fun i -> Printf.sprintf "%02x" (Char.code h.[i])))
+let digest_hex headers n = Ucrypto.Sha256.hex (headers ^ u32be n)
 
 let seal_hex w = digest_hex (Buffer.contents w.headers) w.n
 let count w = w.n

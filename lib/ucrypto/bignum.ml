@@ -338,6 +338,4 @@ let of_hex s =
     s;
   !v
 
-let to_hex a =
-  let b = to_bytes_be a in
-  String.concat "" (List.init (String.length b) (fun i -> Printf.sprintf "%02x" (Char.code b.[i])))
+let to_hex a = Hex.encode (to_bytes_be a)

@@ -144,10 +144,7 @@ let digest msg =
   update ctx msg;
   final ctx
 
-let hex msg =
-  let d = digest msg in
-  String.concat ""
-    (List.init 32 (fun i -> Printf.sprintf "%02x" (Char.code d.[i])))
+let hex msg = Hex.encode (digest msg)
 
 (* HMAC with precomputable key midstates: the inner/outer pad blocks
    depend only on the key, so a reused key (every issuer signature)

@@ -14,7 +14,10 @@
      byte-identically to an independent replay of the committed
      prefix;
    - the unicert_ingest_lag_entries gauge reports published minus
-     staged entries, also after a commit.
+     staged entries, also after a commit;
+   - the jobs=1 battery replies hash to a pinned SHA-256, so a change
+     to the service, fetch or log-server code cannot silently change
+     the reply bytes.
 
    The daemon path arrives as argv(1) from the dune rule. *)
 
@@ -40,6 +43,12 @@ let args_with ~fault_rate ~commit_every =
   ]
 
 let base_args = args_with ~fault_rate:"0.1" ~commit_every:4
+
+(* SHA-256 of the whole jobs=1 stdout of section 1 (12 ticks, the
+   battery, then "bye").  Update it only for an intended reply change,
+   and say so. *)
+let pinned_digest =
+  "a5576f0e7d96b7015522632e553c396440cc48995e8775dab7aa9c775cf07f02"
 
 let failures = ref 0
 
@@ -246,6 +255,10 @@ let () =
       [ 1; 2; 4 ]
   in
   let _, _, ref_out = List.hd outputs in
+  let digest = Ucrypto.Sha256.hex ref_out in
+  checkf (digest = pinned_digest)
+    "jobs=1 replies match the pinned digest (got %s, pinned %s)" digest
+    pinned_digest;
   List.iter
     (fun (jobs, _, out) ->
       checkf (out = ref_out) "jobs=%d responses byte-identical to jobs=1" jobs)

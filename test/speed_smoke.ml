@@ -14,13 +14,17 @@
      on allocates at most 1.03x the pass with them off;
    - fetch: fetching the corpus at a 10% transport fault rate
      allocates at most 1.5x the clean fetch, and both fetches reach
-     complete coverage.
+     complete coverage;
+   - commit: a {!Monitors.Service.commit} of 512 staged rows onto a
+     service already serving 8192 rows allocates at most 1.2x the same
+     commit onto an empty service — the commit is O(staged), not
+     O(corpus).
 
    The cold store pass and the fetch drift by a fraction of a word per
    certificate between runs, so gates compare ratios, never exact
    counts.  Wall-clock views of the same budgets live in perfbench
    ([obs.trace_overhead_pct], [store.replay_rows_per_s],
-   [fetch.retries_per_entry]). *)
+   [fetch.retries_per_entry], [service.commit_busy_share]). *)
 
 let scale = 2000
 let seed = 1
@@ -74,6 +78,38 @@ let fetch ~fault_rate () =
   in
   (w, !complete)
 
+(* Stage synthetic row [id]'s serving material the way the daemon
+   does: subject fields for every profile, plus postings in the five
+   index families — a few shared keys (issuer, lint, flaw) and
+   per-row ones (domain, ulabel). *)
+let stage_row service id =
+  let host = Printf.sprintf "host%d.example%d.com" id (id mod 97) in
+  Monitors.Service.stage_fields service ~id ~cns:[ host ]
+    ~sans:[ host; Printf.sprintf "xn--bcher-kva%d.com" id ]
+    ~attrs:[ Printf.sprintf "Org %d" (id mod 13) ];
+  List.iter
+    (fun (index, key) -> Monitors.Service.stage_index service ~index ~key ~id)
+    [ ("issuer", Printf.sprintf "CA %d" (id mod 23));
+      ("lint", Printf.sprintf "e_lint_%d" (id mod 41));
+      ("flaw", Printf.sprintf "flaw %d" (id mod 5));
+      ("domain", host);
+      ("ulabel", Printf.sprintf "b\xc3\xbccher%d" id) ]
+
+(* Minor words of one commit of [batch] staged rows onto a service
+   already serving [served] rows. *)
+let commit_words ~served ~batch =
+  let service = Monitors.Service.create () in
+  for id = 0 to served - 1 do
+    stage_row service id
+  done;
+  Monitors.Service.commit service ~upto:served;
+  for id = served to served + batch - 1 do
+    stage_row service id
+  done;
+  let before = Gc.minor_words () in
+  Monitors.Service.commit service ~upto:(served + batch);
+  Gc.minor_words () -. before
+
 let () =
   Obs.Progress.set_override (Some false);
   (* Force lazy instrument tables and lint registries outside the
@@ -117,6 +153,14 @@ let () =
          faulty clean (coverage faulty_complete) (coverage clean_complete))
     ~ok:(clean_complete && faulty_complete)
     (faulty /. clean) (`At_most 1.5);
+
+  let onto_empty = commit_words ~served:0 ~batch:512 in
+  let onto_full = commit_words ~served:8192 ~batch:512 in
+  gate "commit"
+    ~detail:
+      (Printf.sprintf "512 rows onto 8192 %.0f / onto empty %.0f words"
+         onto_full onto_empty)
+    (onto_full /. onto_empty) (`At_most 1.2);
 
   if !failures > 0 then begin
     Printf.printf "speed-smoke: %d gate(s) failed\n" !failures;

@@ -77,6 +77,111 @@ let prop_merkle_random =
       Ctlog.Merkle.verify_inclusion ~leaf:(List.nth leaves i) ~index:i ~size:n ~proof
         ~root:(Ctlog.Merkle.root t))
 
+(* Naive RFC 6962 references over the leaves ["leaf-0"; "leaf-1"; ...]
+   (§2.1 MTH, §2.1.1 PATH, §2.1.2 SUBPROOF), kept here so the memoised
+   [Merkle] is checked against the definitions.  The MTH table only
+   caches finished range hashes of this fixed leaf sequence. *)
+let ref_leaf i = Printf.sprintf "leaf-%d" i
+
+let ref_split n =
+  let k = ref 1 in
+  while 2 * !k < n do
+    k := 2 * !k
+  done;
+  !k
+
+let ref_table = Hashtbl.create 4096
+
+let rec ref_mth lo hi =
+  match Hashtbl.find_opt ref_table (lo, hi) with
+  | Some h -> h
+  | None ->
+      let h =
+        match hi - lo with
+        | 0 -> Ucrypto.Sha256.digest ""
+        | 1 -> Ctlog.Merkle.leaf_hash (ref_leaf lo)
+        | n ->
+            let k = ref_split n in
+            Ctlog.Merkle.node_hash (ref_mth lo (lo + k)) (ref_mth (lo + k) hi)
+      in
+      Hashtbl.replace ref_table (lo, hi) h;
+      h
+
+let rec ref_path m lo hi =
+  if hi - lo <= 1 then []
+  else
+    let k = ref_split (hi - lo) in
+    if m < k then ref_path m lo (lo + k) @ [ ref_mth (lo + k) hi ]
+    else ref_path (m - k) (lo + k) hi @ [ ref_mth lo (lo + k) ]
+
+let rec ref_subproof m lo hi b =
+  if m = hi - lo then if b then [] else [ ref_mth lo hi ]
+  else
+    let k = ref_split (hi - lo) in
+    if m <= k then ref_subproof m lo (lo + k) b @ [ ref_mth (lo + k) hi ]
+    else ref_subproof (m - k) (lo + k) hi false @ [ ref_mth lo (lo + k) ]
+
+let ref_consistency m n = if m = 0 || m = n then [] else ref_subproof m 0 n true
+
+(* For every size n <= 130: every tree head over m <= n leaves, every
+   inclusion proof, and every consistency proof m -> n equal the
+   references — first at size n, then again after growing the same
+   tree to 2n+3, so a memo entry that went stale would show. *)
+let test_merkle_oracle () =
+  let hexes = List.map hex in
+  for n = 1 to 130 do
+    let t = Ctlog.Merkle.create () in
+    let grow_to size =
+      for i = Ctlog.Merkle.size t to size - 1 do
+        ignore (Ctlog.Merkle.append t (ref_leaf i))
+      done
+    in
+    let check_all phase =
+      let size = Ctlog.Merkle.size t in
+      for m = 0 to n do
+        if Ctlog.Merkle.root_of_range t m <> ref_mth 0 m then
+          Alcotest.failf "%s: root_of_range %d (n=%d)" phase m n;
+        let got = Ctlog.Merkle.consistency_proof_range t m n in
+        if got <> ref_consistency m n then
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s: consistency %d -> %d" phase m n)
+            (hexes (ref_consistency m n)) (hexes got)
+      done;
+      for i = 0 to n - 1 do
+        let got = Ctlog.Merkle.inclusion_proof t i in
+        if got <> ref_path i 0 size then
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s: inclusion %d at size %d" phase i size)
+            (hexes (ref_path i 0 size)) (hexes got)
+      done
+    in
+    grow_to n;
+    check_all "fresh";
+    grow_to ((2 * n) + 3);
+    check_all "grown"
+  done
+
+let test_wire_hex () =
+  for b = 0 to 255 do
+    let s = String.make 1 (Char.chr b) in
+    check Alcotest.string
+      (Printf.sprintf "byte %d" b)
+      (Printf.sprintf "%02x" b) (Ctlog.Wire.to_hex s)
+  done;
+  let all = String.init 256 Char.chr in
+  check Alcotest.string "all bytes, Printf encoding" (hex all)
+    (Ctlog.Wire.to_hex all);
+  check Alcotest.(option string) "round trip" (Some all)
+    (Ctlog.Wire.of_hex (Ctlog.Wire.to_hex all));
+  check Alcotest.(option string) "upper case" (Some "\xab\xcd")
+    (Ctlog.Wire.of_hex "ABcD");
+  check Alcotest.(option string) "odd length" None (Ctlog.Wire.of_hex "abc");
+  check Alcotest.(option string) "non-hex" None (Ctlog.Wire.of_hex "0g");
+  check Alcotest.string "digest hex" (hex (Ucrypto.Sha256.digest "abc"))
+    (Ucrypto.Sha256.hex "abc")
+
 (* --- log --------------------------------------------------------------- *)
 
 let test_log_scts () =
@@ -226,6 +331,8 @@ let suite =
     Alcotest.test_case "merkle inclusion proofs" `Quick test_merkle_inclusion;
     Alcotest.test_case "merkle consistency proofs" `Quick test_merkle_consistency;
     Alcotest.test_case "merkle rejects bogus roots" `Quick test_merkle_consistency_rejects;
+    Alcotest.test_case "merkle equals RFC 6962 reference" `Quick test_merkle_oracle;
+    Alcotest.test_case "wire hex encoding" `Quick test_wire_hex;
     Alcotest.test_case "log SCTs" `Quick test_log_scts;
     Alcotest.test_case "dataset determinism" `Quick test_dataset_determinism;
     Alcotest.test_case "dataset structural invariants" `Quick test_dataset_structure;

@@ -199,6 +199,44 @@ let test_checkpoint_roundtrip () =
   check Alcotest.bool "missing loads as None" true
     ((Faults.Checkpoint.load file : int Faults.Checkpoint.t option) = None)
 
+(* A fetch cursor written by the v002 format (whose Merkle tree had no
+   subtree memo) must be refused by version, never unmarshalled. *)
+let test_v002_cursor_refused () =
+  let dir = Filename.temp_file "unicert-v002" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let base = Filename.concat dir "cursors" in
+  let feed =
+    List.hd
+      (Ctlog.Fetch.feeds ~checkpoint:base ~scale:32 ~seed:1
+         { Ctlog.Fetch.default_cfg with Ctlog.Fetch.logs = 2 })
+  in
+  let file = Ctlog.Fetch.cursor_file base 0 in
+  let oc = open_out_bin file in
+  output_string oc "UNICERT-CKPT2\nv002\n";
+  Marshal.to_channel oc
+    { Faults.Checkpoint.scale = 32; seed = 1; next_index = 0;
+      state = ("log-00", [| "" |], 0) }
+    [];
+  close_out oc;
+  Ctlog.Fetch.feed_publish feed 4;
+  (match Ctlog.Fetch.poll feed with
+  | _ -> Alcotest.fail "a v002 cursor was read"
+  | exception Faults.Checkpoint.Invalid msg ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check Alcotest.bool
+        ("refused by format version: " ^ msg)
+        true
+        (has "format version v002 does not match this binary's v003"));
+  Sys.remove file;
+  Unix.rmdir dir
+
 let test_stale_cursors () =
   let dir = Filename.temp_file "unicert-stale" "" in
   Sys.remove dir;
@@ -582,6 +620,8 @@ let suite =
     qtest parse_totality;
     Alcotest.test_case "quarantine roundtrip" `Quick test_quarantine_roundtrip;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "v002 fetch cursor refused" `Quick
+      test_v002_cursor_refused;
     Alcotest.test_case "stale cursors" `Quick test_stale_cursors;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
     Alcotest.test_case "injector" `Quick test_injector;

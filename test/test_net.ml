@@ -537,6 +537,44 @@ let test_fetch_resume_after_kill () =
       check Alcotest.string "resumed run delivers the full-run bytes" full
         (fps items2))
 
+(* A feed returns each delivery once across its polls, with coverage
+   still cumulative; a fresh feed over the same cursors (a restarted
+   process) first re-delivers the retained history. *)
+let test_feed_poll_once () =
+  let dir = tmp_dir "unicert-net-feed" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let checkpoint = Filename.concat dir "cursors" in
+      let cfg = small_cfg ~fault_rate:0.2 ~page_cap:4 () in
+      let first_feed () =
+        List.hd (Fetch.feeds ~checkpoint ~scale:64 ~seed:5 cfg)
+      in
+      let indices s = List.map Fetch.item_index (Fetch.items_of_session s) in
+      let feed = first_feed () in
+      let seen = ref [] in
+      for step = 1 to 4 do
+        Fetch.feed_publish feed (4 * step);
+        let s = Fetch.poll feed in
+        List.iter
+          (fun i ->
+            if List.mem i !seen then Alcotest.failf "index %d returned twice" i)
+          (indices s);
+        seen := !seen @ indices s;
+        check Alcotest.int "coverage is cumulative" (List.length !seen)
+          (s.Fetch.s_cov.Fetch.delivered + s.Fetch.s_cov.Fetch.quarantined)
+      done;
+      if !seen = [] then Alcotest.fail "the feed delivered nothing";
+      let fresh = first_feed () in
+      Option.iter (Fetch.feed_publish fresh) (Fetch.feed_trusted fresh);
+      check
+        Alcotest.(list int)
+        "a fresh feed re-delivers the retained history" !seen
+        (indices (Fetch.poll fresh));
+      check
+        Alcotest.(list int)
+        "then only what arrives" [] (indices (Fetch.poll fresh)))
+
 let test_fetch_jobs_deterministic () =
   let cfg = small_cfg ~fault_rate:0.15 ~page_cap:4 () in
   let run jobs = Fetch.corpus ~scale:96 ~seed:7 ~jobs cfg in
@@ -600,6 +638,7 @@ let suite =
     Alcotest.test_case "fetch-down-abandoned" `Quick test_fetch_down_abandoned;
     Alcotest.test_case "fetch-resume-after-kill" `Quick
       test_fetch_resume_after_kill;
+    Alcotest.test_case "feed-poll-once" `Quick test_feed_poll_once;
     Alcotest.test_case "fetch-jobs-deterministic" `Quick
       test_fetch_jobs_deterministic;
     Alcotest.test_case "fetch-mutator-drop" `Quick test_fetch_mutator_drop;
