@@ -15,9 +15,9 @@
    ticks the staged material is committed — store manifest first, then
    the query service's read snapshot — so queries always answer from
    exactly the durable prefix.  Killing the process at any point loses
-   at most the uncommitted tail: fetch cursors carry the delivered
-   history, so a restarted daemon replays the committed rows, reopens
-   its feeds at the trusted STH, and re-stages the rest. *)
+   at most the uncommitted tail: fetch cursors and their journals carry
+   the delivered history, so a restarted daemon replays the committed
+   rows, reopens its feeds at the trusted STH, and re-stages the rest. *)
 
 open Cmdliner
 

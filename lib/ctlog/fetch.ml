@@ -13,8 +13,9 @@
 
    Everything is deterministic: per-log virtual clock, pure fault
    sampling, and a cursor checkpoint ([FILE.fetch<k>]) carrying the
-   whole session state, so a resumed run produces byte-identical
-   results to an uninterrupted one. *)
+   session state, with the delivered history in an append-only journal
+   beside it ([FILE.fetch<k>.raw]), so a resumed run produces
+   byte-identical results to an uninterrupted one. *)
 
 type cfg = {
   logs : int;
@@ -79,18 +80,58 @@ let coverage_complete c =
   c.abandoned = None && not c.split_view && c.page_gaps = 0
   && c.delivered + c.quarantined >= c.expected
 
-(* --- cursor: the whole session state, checkpointable ------------------- *)
+(* --- the client's leaf tree --------------------------------------------
+
+   The client needs its running leaf tree for one thing: at each window
+   close, the root over the first [n] leaves, where [n] is never below
+   the size verified at the previous close.  So it keeps a compact range
+   over the verified prefix [0, base) and the hashes of the leaves
+   fetched past it: O(log n + window), not O(n). *)
+
+type tree = {
+  t_base : Merkle.compact;
+  t_leaves : string list;  (* leaf hashes of [base, size), newest first *)
+  t_size : int;
+}
+
+let empty_tree = { t_base = Merkle.compact_empty; t_leaves = []; t_size = 0 }
+
+let tree_append t leaf =
+  { t with t_leaves = Merkle.leaf_hash leaf :: t.t_leaves; t_size = t.t_size + 1 }
+
+(* The root over the first [n] leaves ([base <= n <= size]) and the tree
+   with its base advanced to [n]. *)
+let tree_close t n =
+  let rec take base leaves =
+    if Merkle.compact_size base = n then (base, leaves)
+    else
+      match leaves with
+      | h :: rest -> take (Merkle.compact_push base h) rest
+      | [] -> invalid_arg "Fetch.tree_close"
+  in
+  let base, rest = take t.t_base (List.rev t.t_leaves) in
+  (Merkle.compact_root base, { t with t_base = base; t_leaves = List.rev rest })
+
+(* --- cursor: the session state, checkpointable -------------------------
+
+   The cursor holds no delivered DER: every delivered or quarantined
+   entry is appended once to the journal, and the cursor keeps only the
+   journal's committed record count and byte length.  With the compact
+   leaf tree, its size follows the pending window, not the history. *)
 
 type cursor = {
   c_log : string;
   c_next : int;                        (* next tree index to fetch *)
   c_verified : (int * string) option;  (* trusted STH: size, root *)
-  c_tree : Merkle.t;                   (* running leaf tree *)
+  c_tree : tree;                       (* running leaf tree *)
   c_tree_ok : bool;                    (* false once a page gap broke it *)
   c_refresh : int;                     (* STH refreshes so far (fault keying) *)
   c_pend : (int * bool * string) list; (* unflushed: tree idx, precert, DER; newest first *)
-  c_raw : (int * string) list;         (* delivered: corpus idx, DER; newest first *)
-  c_quar : (int * string * Faults.Error.t) list;  (* newest first *)
+  c_delivered : int;                   (* delivered records in the journal *)
+  c_quarantined : int;                 (* quarantined records in the journal *)
+  c_journal_bytes : int;               (* committed journal length *)
+  c_spans : (int * int) list;          (* covered corpus-index spans; newest first *)
+  c_last_covered : int;                (* tree index of the newest covered entry, or -1 *)
   c_gaps : int;
   c_requests : int;
   c_retries : int;
@@ -101,18 +142,138 @@ let fresh_cursor name =
     c_log = name;
     c_next = 0;
     c_verified = None;
-    c_tree = Merkle.create ();
+    c_tree = empty_tree;
     c_tree_ok = true;
     c_refresh = 0;
     c_pend = [];
-    c_raw = [];
-    c_quar = [];
+    c_delivered = 0;
+    c_quarantined = 0;
+    c_journal_bytes = 0;
+    c_spans = [];
+    c_last_covered = -1;
     c_gaps = 0;
     c_requests = 0;
     c_retries = 0;
   }
 
 let cursor_file base k = base ^ ".fetch" ^ string_of_int k
+
+(* The cursor at [file] when it belongs to this log and run, else a
+   fresh one.  A file that is not a current-format cursor raises
+   [Faults.Checkpoint.Invalid]. *)
+let load_cursor file ~scale ~seed ~name =
+  match (Faults.Checkpoint.load file : cursor Faults.Checkpoint.t option) with
+  | Some c
+    when c.Faults.Checkpoint.scale = scale
+         && c.Faults.Checkpoint.seed = seed
+         && c.Faults.Checkpoint.state.c_log = name ->
+      c.Faults.Checkpoint.state
+  | _ -> fresh_cursor name
+
+(* --- journal: the delivered history, append-only -----------------------
+
+   [FILE.fetch<k>.raw] is a sequence of records, one per delivered or
+   quarantined entry, in delivery order (ascending corpus index):
+
+     tag        1 byte    'D' delivered | 'Q' quarantined
+     index      8 bytes   corpus index, big-endian
+     der        4-byte big-endian length, then the DER
+     detail     4-byte big-endian length, then the integrity detail
+                (empty for 'D')
+
+   A save writes the new records first and then renames the cursor into
+   place, so the cursor's record count and byte length always describe
+   a prefix of the file.  Bytes past that prefix are a torn tail from a
+   save that died between the two steps: reads ignore them and the next
+   append truncates them away. *)
+
+let add_record buf ~tag ~index ~der ~detail =
+  Buffer.add_char buf tag;
+  Buffer.add_int64_be buf (Int64.of_int index);
+  Buffer.add_int32_be buf (Int32.of_int (String.length der));
+  Buffer.add_string buf der;
+  Buffer.add_int32_be buf (Int32.of_int (String.length detail));
+  Buffer.add_string buf detail
+
+let journal_invalid file fmt =
+  Printf.ksprintf
+    (fun s -> raise (Faults.Checkpoint.Invalid (Printf.sprintf "%s: %s" file s)))
+    fmt
+
+(* A journal shorter than its cursor's committed length has lost
+   history that the cursor counts as delivered. *)
+let journal_short file ~size ~committed =
+  journal_invalid file
+    "journal holds %d bytes but the cursor committed %d; delete the cursor \
+     and its journal or rerun without --resume"
+    size committed
+
+(* Append [buf] at byte [at], the committed length of cursor [ckpt]'s
+   journal. *)
+let append_journal ckpt ~at buf =
+  let file = Faults.Checkpoint.journal_file ckpt in
+  let fd =
+    Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  let oc = Unix.out_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      if size < at then journal_short file ~size ~committed:at;
+      if size > at then Unix.ftruncate fd at;
+      seek_out oc at;
+      Buffer.output_buffer oc buf;
+      close_out oc)
+
+(* The committed history of cursor [c], saved at [ckpt]: delivered and
+   quarantined streams, each ascending. *)
+let read_journal ckpt ~name c =
+  let file = Faults.Checkpoint.journal_file ckpt in
+  let records = c.c_delivered + c.c_quarantined and bytes = c.c_journal_bytes in
+  if records = 0 && bytes = 0 then ([], [])
+  else
+    let data =
+      match open_in_bin file with
+      | exception Sys_error _ ->
+          journal_invalid file "journal missing; the cursor committed %d records"
+            records
+      | ic ->
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              let size = in_channel_length ic in
+              if size < bytes then journal_short file ~size ~committed:bytes;
+              really_input_string ic bytes)
+    in
+    let corrupt () = journal_invalid file "corrupt journal record" in
+    let field pos =
+      if pos + 4 > bytes then corrupt ();
+      let n = Int32.to_int (String.get_int32_be data pos) in
+      if n < 0 || pos + 4 + n > bytes then corrupt ();
+      (String.sub data (pos + 4) n, pos + 4 + n)
+    in
+    let rec go pos n raw quar =
+      if pos = bytes then begin
+        if n <> records then
+          journal_invalid file "journal holds %d records, the cursor committed %d"
+            n records;
+        (List.rev raw, List.rev quar)
+      end
+      else begin
+        if pos + 9 > bytes then corrupt ();
+        let index = Int64.to_int (String.get_int64_be data (pos + 1)) in
+        let der, pos' = field (pos + 9) in
+        let detail, pos' = field pos' in
+        match data.[pos] with
+        | 'D' -> go pos' (n + 1) ((index, der) :: raw) quar
+        | 'Q' ->
+            go pos' (n + 1) raw
+              ((index, der, Faults.Error.Integrity { log = name; detail }) :: quar)
+        | _ -> corrupt ()
+      end
+    in
+    go 0 0 [] []
 
 (* --- telemetry --------------------------------------------------------- *)
 
@@ -222,11 +383,28 @@ exception Stop of string     (* abandon this log *)
 exception Interrupted        (* stop_after_pages test hook *)
 exception Bad_page           (* one failed/malformed page *)
 
-(* [present.(tree_index)] is the corpus index an entry maps to, or -1
-   for entries (precertificates) the analysis must skip.  [expected] is
-   the number of mapped entries. *)
-let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
-    ~name ~(present : int array) ~transport ~bucket () =
+(* What one session leaves behind.  [o_saved] is the cursor as last
+   saved: the next session resumes from exactly that state, whether it
+   keeps it in memory or reloads it from the file (every step that
+   changes the tree or the journal ends in a save; only the closing
+   STH refresh of a finished session is not saved).
+   [o_raw]/[o_quar] are this session's new deliveries, ascending. *)
+type outcome = {
+  o_saved : cursor;
+  o_raw : (int * string) list;
+  o_quar : (int * string * Faults.Error.t) list;
+  o_cov : coverage;
+  o_interrupted : bool;
+}
+
+let count_expected present =
+  Array.fold_left (fun n i -> if i >= 0 then n + 1 else n) 0 present
+
+(* One session from cursor [cur].  [present.(tree_index)] is the corpus
+   index an entry maps to, or -1 for entries (precertificates) the
+   analysis must skip; [expected] is the number of mapped entries. *)
+let run_session ?ckpt_file ?stop_after_pages ~cfg ~scale ~seed ~name
+    ~(present : int array) ~expected ~transport ~bucket cur =
   (* The whole per-log session is one trace slice on the worker
      domain's track; page fetches, STH refreshes and consistency
      checks nest inside it, with quarantine/breaker events as instant
@@ -235,62 +413,86 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
   @@ fun () ->
   let policy = cfg.policy in
   let clock = Net.Transport.clock transport in
-  let expected = Array.fold_left (fun n i -> if i >= 0 then n + 1 else n) 0 present in
   let breaker =
     Faults.Breaker.create ~threshold:cfg.breaker_threshold
       ~cooldown:cfg.breaker_cooldown ("fetch:" ^ name)
   in
-  let cur =
-    match
-      if resume then Option.bind ckpt_file Faults.Checkpoint.load else None
-    with
-    | Some c
-      when c.Faults.Checkpoint.scale = scale
-           && c.Faults.Checkpoint.seed = seed
-           && (c.Faults.Checkpoint.state : cursor).c_log = name ->
-        c.Faults.Checkpoint.state
-    | _ -> fresh_cursor name
-  in
   let next = ref cur.c_next in
   let verified = ref cur.c_verified in
-  let tree = cur.c_tree in
+  let tree = ref cur.c_tree in
   let tree_ok = ref cur.c_tree_ok in
   let refresh = ref cur.c_refresh in
   let pend = ref cur.c_pend in
-  let raw = ref cur.c_raw in
-  let quar = ref cur.c_quar in
+  let delivered = ref cur.c_delivered in
+  let quarantined = ref cur.c_quarantined in
+  let journal_bytes = ref cur.c_journal_bytes in
+  let spans = ref cur.c_spans in
+  let last_covered = ref cur.c_last_covered in
   let gaps = ref cur.c_gaps in
   let requests = ref cur.c_requests in
   let retries = ref cur.c_retries in
+  let new_raw = ref [] in
+  let new_quar = ref [] in
+  let unsaved = Buffer.create 4096 in  (* journal records not yet written *)
+  let saved = ref cur in
   let split = ref false in
   let abandoned = ref None in
   let interrupted = ref false in
   let pages_this_session = ref 0 in
+  (* Journal first, then the cursor: a crash between the two leaves a
+     torn tail the cursor does not count. *)
   let save_ckpt () =
     Option.iter
       (fun file ->
-        Faults.Checkpoint.save file
+        if Buffer.length unsaved > 0 then begin
+          append_journal file ~at:!journal_bytes unsaved;
+          journal_bytes := !journal_bytes + Buffer.length unsaved;
+          Buffer.clear unsaved
+        end;
+        let c =
           {
-            Faults.Checkpoint.scale;
-            seed;
-            next_index = !next;
-            state =
-              {
-                c_log = name;
-                c_next = !next;
-                c_verified = !verified;
-                c_tree = tree;
-                c_tree_ok = !tree_ok;
-                c_refresh = !refresh;
-                c_pend = !pend;
-                c_raw = !raw;
-                c_quar = !quar;
-                c_gaps = !gaps;
-                c_requests = !requests;
-                c_retries = !retries;
-              };
-          })
+            c_log = name;
+            c_next = !next;
+            c_verified = !verified;
+            c_tree = !tree;
+            c_tree_ok = !tree_ok;
+            c_refresh = !refresh;
+            c_pend = !pend;
+            c_delivered = !delivered;
+            c_quarantined = !quarantined;
+            c_journal_bytes = !journal_bytes;
+            c_spans = !spans;
+            c_last_covered = !last_covered;
+            c_gaps = !gaps;
+            c_requests = !requests;
+            c_retries = !retries;
+          }
+        in
+        Faults.Checkpoint.save file
+          { Faults.Checkpoint.scale; seed; next_index = !next; state = c };
+        saved := c)
       ckpt_file
+  in
+  (* Record the entry at tree index [ti] as covered: journal it and
+     extend the coverage spans.  Entries arrive in ascending tree order,
+     and an entry continues the newest span when only unmapped entries
+     (present = -1) lie between it and the last covered one — so a
+     dropped corpus index between them is not a coverage gap. *)
+  let cover ~tag ti der detail =
+    let ci = present.(ti) in
+    if ckpt_file <> None then add_record unsaved ~tag ~index:ci ~der ~detail;
+    let rec unmapped j = j >= ti || (present.(j) < 0 && unmapped (j + 1)) in
+    (spans :=
+       match !spans with
+       | (lo, _) :: rest when !last_covered >= 0 && unmapped (!last_covered + 1)
+         ->
+           (lo, ci) :: rest
+       | l -> (ci, ci) :: l);
+    last_covered := ti;
+    ci
+  in
+  let mapped ti precert =
+    (not precert) && ti < Array.length present && present.(ti) >= 0
   in
   let now () = Net.Clock.now clock in
   let attempts_of_error = function
@@ -358,10 +560,13 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
     Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force obs_split) name);
     List.iter
       (fun (ti, precert, der) ->
-        if (not precert) && ti < Array.length present && present.(ti) >= 0 then
-          quar :=
-            (present.(ti), der, Faults.Error.Integrity { log = name; detail = reason })
-            :: !quar)
+        if mapped ti precert then begin
+          let ci = cover ~tag:'Q' ti der reason in
+          incr quarantined;
+          new_quar :=
+            (ci, der, Faults.Error.Integrity { log = name; detail = reason })
+            :: !new_quar
+        end)
       (List.rev !pend);
     pend := [];
     raise (Stop reason)
@@ -443,10 +648,10 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
     | Some lines -> (
         match parse_entries lines with
         | Some (s, rows) when s = start && rows <> [] ->
-            if !tree_ok && Merkle.size tree = start then
+            if !tree_ok && !tree.t_size = start then
               List.iter
                 (fun (precert, der) ->
-                  ignore (Merkle.append tree (Log.leaf_bytes ~precert der)))
+                  tree := tree_append !tree (Log.leaf_bytes ~precert der))
                 rows
             else tree_ok := false;
             List.iteri
@@ -473,19 +678,25 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
      STH we are working against (it published again mid-window); those
      entries stay pending until a later STH covers them. *)
   let flush_at n root =
-    if !tree_ok && Merkle.size tree >= n && not (String.equal (Merkle.root_of_range tree n) root)
-    then
-      quarantine_pending
-        (Printf.sprintf "split view: leaf root mismatch at size %d" n);
+    if !tree_ok && !tree.t_size >= n && n >= Merkle.compact_size !tree.t_base
+    then begin
+      let got, closed = tree_close !tree n in
+      if not (String.equal got root) then
+        quarantine_pending
+          (Printf.sprintf "split view: leaf root mismatch at size %d" n);
+      tree := closed
+    end;
     let deliver, keep =
       List.partition (fun (ti, _, _) -> ti < n) (List.rev !pend)
     in
-    let delivered = Obs.Counter.Labeled.get (Lazy.force obs_entries) name in
+    let obs_delivered = Obs.Counter.Labeled.get (Lazy.force obs_entries) name in
     List.iter
       (fun (ti, precert, der) ->
-        if (not precert) && ti < Array.length present && present.(ti) >= 0 then begin
-          raw := (present.(ti), der) :: !raw;
-          Obs.Counter.inc delivered
+        if mapped ti precert then begin
+          let ci = cover ~tag:'D' ti der "" in
+          incr delivered;
+          new_raw := (ci, der) :: !new_raw;
+          Obs.Counter.inc obs_delivered
         end)
       deliver;
     pend := List.rev keep;
@@ -522,50 +733,48 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
   | Interrupted ->
       interrupted := true;
       save_ckpt ());
-  let s_raw = List.rev !raw in
-  let s_quar = List.rev !quar in
-  let covered = List.map fst s_raw @ List.map (fun (i, _, _) -> i) s_quar in
-  let covered = List.sort_uniq compare covered in
-  (* Coalesce corpus indices into spans, treating indices adjacent in
-     [present] (this log's delivery order) as contiguous — a dropped
-     index between them is not a coverage gap. *)
-  let adjacency = Hashtbl.create (Array.length present) in
-  let last = ref (-1) in
-  Array.iter
-    (fun ci ->
-      if ci >= 0 then begin
-        if !last >= 0 then Hashtbl.replace adjacency ci !last;
-        last := ci
-      end)
-    present;
-  let spans =
-    List.rev
-      (List.fold_left
-         (fun acc ci ->
-           match acc with
-           | (lo, hi) :: rest when Hashtbl.find_opt adjacency ci = Some hi ->
-               (lo, ci) :: rest
-           | _ -> (ci, ci) :: acc)
-         [] covered)
-  in
   {
-    s_raw;
-    s_quar;
-    s_cov =
+    o_saved = !saved;
+    o_raw = List.rev !new_raw;
+    o_quar = List.rev !new_quar;
+    o_cov =
       {
         log = name;
         expected;
-        delivered = List.length s_raw;
-        quarantined = List.length s_quar;
-        spans;
+        delivered = !delivered;
+        quarantined = !quarantined;
+        spans = List.rev !spans;
         page_gaps = !gaps;
         abandoned = !abandoned;
         split_view = !split;
         requests = !requests;
         retries = !retries;
       };
-    s_interrupted = !interrupted;
+    o_interrupted = !interrupted;
   }
+
+(* A session result: the [history] a resumed cursor had already
+   delivered, then what this session added. *)
+let session_of (raw, quar) o =
+  {
+    s_raw = raw @ o.o_raw;
+    s_quar = quar @ o.o_quar;
+    s_cov = o.o_cov;
+    s_interrupted = o.o_interrupted;
+  }
+
+let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
+    ~name ~present ~transport ~bucket () =
+  let cur, history =
+    match ckpt_file with
+    | Some file when resume ->
+        let c = load_cursor file ~scale ~seed ~name in
+        (c, read_journal file ~name c)
+    | _ -> (fresh_cursor name, ([], []))
+  in
+  session_of history
+    (run_session ?ckpt_file ?stop_after_pages ~cfg ~scale ~seed ~name ~present
+       ~expected:(count_expected present) ~transport ~bucket cur)
 
 (* --- the corpus source ------------------------------------------------- *)
 
@@ -652,20 +861,21 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
 
 (* A feed is one log's whole fetch apparatus kept alive between polls:
    the populated log and its server, the per-log clock, transport and
-   token bucket, and the cursor file that carries the session state
-   (trusted STH, pending window, cumulative deliveries) from one poll
-   to the next.  The server starts with nothing published; the driver
-   grows it with {!feed_publish} and each {!poll} runs an ordinary
-   {!fetch_log} session against the currently published head, then
-   hands back only the deliveries this feed value has not returned
-   yet ([f_returned]: counts of the cursor's delivered and quarantined
-   streams already handed out). *)
+   token bucket, and the session state.  The server starts with nothing
+   published; the driver grows it with {!feed_publish} and each {!poll}
+   runs an ordinary session against the currently published head.
+
+   The cursor stays in memory between polls ([f_cursor]); the cursor
+   file is read only while the feed is fresh, i.e. once per process.
+   Each save rewrites the small cursor and appends what arrived to the
+   journal, so a poll costs what arrived, not the log's history. *)
 type feed = {
   f_k : int;
   f_name : string;
   f_lo : int;
   f_hi : int;
   f_present : int array;
+  f_expected : int;
   f_server : Server.t;
   f_transport : Net.Transport.t;
   f_bucket : Net.Bucket.t;
@@ -673,7 +883,7 @@ type feed = {
   f_cfg : cfg;
   f_scale : int;
   f_seed : int;
-  mutable f_returned : int * int;
+  mutable f_cursor : cursor option;  (* [None]: fresh, nothing handed out *)
 }
 
 let feed_name f = f.f_name
@@ -721,6 +931,7 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
         f_lo = lo;
         f_hi = hi;
         f_present = present;
+        f_expected = count_expected present;
         f_server = server;
         f_transport = transport;
         f_bucket = bucket;
@@ -728,7 +939,7 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
         f_cfg = cfg;
         f_scale = scale;
         f_seed = seed;
-        f_returned = (0, 0);
+        f_cursor = None;
       })
     parts
 
@@ -736,24 +947,29 @@ let feed_publish f n =
   let n = min n (feed_goal f) in
   if n > Server.published f.f_server then Server.set_published f.f_server n
 
-let feed_trusted f =
-  match (Faults.Checkpoint.load f.f_ckpt : cursor Faults.Checkpoint.t option) with
-  | Some c
-    when c.Faults.Checkpoint.scale = f.f_scale
-         && c.Faults.Checkpoint.seed = f.f_seed
-         && c.Faults.Checkpoint.state.c_log = f.f_name ->
-      Option.map fst c.Faults.Checkpoint.state.c_verified
-  | _ -> None
+let load_feed_cursor f =
+  load_cursor f.f_ckpt ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
 
-(* The cursor's streams only grow at their newest end, so what this
-   feed returned before is a prefix of each ascending stream. *)
+let feed_trusted f =
+  let c = match f.f_cursor with Some c -> c | None -> load_feed_cursor f in
+  Option.map fst c.c_verified
+
+(* A fresh feed loads the cursor and re-delivers the journal's history
+   first.  A poll that raises leaves the feed fresh, so the next one
+   resumes from the last saved cursor. *)
 let poll ?stop_after_pages f =
-  let s =
-    fetch_log ~ckpt_file:f.f_ckpt ~resume:true ?stop_after_pages ~cfg:f.f_cfg
-      ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name ~present:f.f_present
-      ~transport:f.f_transport ~bucket:f.f_bucket ()
+  let cur, history =
+    match f.f_cursor with
+    | Some c -> (c, ([], []))
+    | None ->
+        let c = load_feed_cursor f in
+        (c, read_journal f.f_ckpt ~name:f.f_name c)
   in
-  let raw_seen, quar_seen = f.f_returned in
-  f.f_returned <- (s.s_cov.delivered, s.s_cov.quarantined);
-  let since n = List.filteri (fun i _ -> i >= n) in
-  { s with s_raw = since raw_seen s.s_raw; s_quar = since quar_seen s.s_quar }
+  f.f_cursor <- None;
+  let o =
+    run_session ~ckpt_file:f.f_ckpt ?stop_after_pages ~cfg:f.f_cfg
+      ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name ~present:f.f_present
+      ~expected:f.f_expected ~transport:f.f_transport ~bucket:f.f_bucket cur
+  in
+  f.f_cursor <- Some o.o_saved;
+  session_of history o

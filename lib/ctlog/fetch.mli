@@ -12,7 +12,24 @@
     Determinism: per-log virtual clock and token bucket, pure fault
     sampling, and contiguous per-log corpus ranges joined in log order
     — a completed fetch is byte-identical across reruns and [--jobs]
-    values at the same seeds. *)
+    values at the same seeds.
+
+    {b Cursor and journal.}  A checkpointed session keeps two files per
+    log.  The cursor ([FILE.fetch<k>], a {!Faults.Checkpoint} file)
+    holds the small session state: the trusted STH, the client's leaf
+    tree as a compact range over the verified prefix plus the pending
+    window's leaf hashes, the pending (unverified) entries, the
+    coverage spans, the request/retry/gap counters, and the journal's
+    committed record count and byte length.  The journal
+    ([FILE.fetch<k>.raw]) holds the delivered history: every delivered
+    or quarantined entry is appended once, as a record of tag ([D] or
+    [Q]), 8-byte big-endian corpus index, length-prefixed DER and
+    length-prefixed integrity detail.  A save appends the new records
+    first and then renames the cursor into place, so it writes what
+    arrived, never the history.  Journal bytes past the cursor's
+    committed length (a save that died between the two steps) are
+    ignored and overwritten by the next save; a journal shorter than
+    the committed length raises {!Faults.Checkpoint.Invalid}. *)
 
 type cfg = {
   logs : int;                     (** corpus is partitioned across this many logs *)
@@ -86,13 +103,17 @@ val fetch_log :
   unit ->
   session
 (** One log session.  [present.(tree_index)] is the corpus index an
-    entry maps to ([-1] = skip, e.g. a precertificate).
-    [stop_after_pages] interrupts after that many pages this session
-    (checkpoint saved) — the resume-after-kill test hook. *)
+    entry maps to ([-1] = skip, e.g. a precertificate).  With
+    [ckpt_file] the session saves its cursor and journal there; with
+    [resume] it starts from them, and the returned streams begin with
+    the journal's history.  [stop_after_pages] interrupts after that
+    many pages this session (checkpoint saved) — the resume-after-kill
+    test hook. *)
 
 val cursor_file : string -> int -> string
-(** [cursor_file base k] is [base.fetch<k>] — the per-log checkpoint
-    path used by {!corpus} under a [--checkpoint] base path. *)
+(** [cursor_file base k] is [base.fetch<k>] — the per-log cursor path
+    used by {!corpus} and {!feeds} under a checkpoint base path.  Its
+    journal is [Faults.Checkpoint.journal_file (cursor_file base k)]. *)
 
 val corpus :
   ?scale:int ->
@@ -121,10 +142,11 @@ val prewarm : unit -> unit
 
     A feed keeps one log's whole fetch apparatus alive between polls:
     the populated log and its paged server, the per-log virtual clock,
-    transport and token bucket, and the cursor file that carries the
-    session state (trusted STH, pending window, cumulative deliveries)
-    across polls {e and} process restarts.  The server starts with
-    nothing published; the driver grows the published head with
+    transport and token bucket, and the session state.  The state stays
+    in memory between polls; the cursor and journal carry it across
+    process restarts, and the cursor file is read only while the feed
+    is fresh (its first {!feed_trusted} or {!poll}).  The server starts
+    with nothing published; the driver grows the published head with
     {!feed_publish} and each {!poll} runs an ordinary {!fetch_log}
     session against it — STH refresh, consistency verification against
     the trusted head, split-view quarantine and breaker behaviour all
@@ -171,15 +193,19 @@ val feed_trusted : feed -> int option
     polling after a restart. *)
 
 val poll : ?stop_after_pages:int -> feed -> session
-(** Run one fetch session against the currently published head,
-    resuming from (and saving) the feed's cursor.  Each delivery
-    ([s_raw]) and quarantined entry ([s_quar]) is returned once per
-    feed value: a poll returns only what this feed has not returned
-    before, so its cost follows what arrived, not the log's history.
+(** Run one fetch session against the currently published head, from
+    the feed's in-memory state, saving the cursor and appending to the
+    journal as it goes.  Each delivery ([s_raw]) and quarantined entry
+    ([s_quar]) is returned once per feed value: a poll returns only
+    what this feed has not returned before.  One poll costs O(page):
+    it reads no file, allocates per entry that arrived (plus one list
+    cell per coverage span), and writes only the small cursor and the
+    new journal records.
     A fresh feed (e.g. after a process restart) first re-delivers the
-    cursor's whole retained history — the driver filters by its own
-    watermark.  Coverage ([s_cov]) stays cumulative over the cursor's
-    lifetime. *)
+    journal's whole history — the driver filters by its own watermark.
+    Coverage ([s_cov]) stays cumulative over the cursor's lifetime.
+    A poll that raises leaves the feed fresh, so the next one resumes
+    from the last saved cursor. *)
 
 val items_of_session : session -> item list
 (** One session's delivered + quarantined streams merged back into a

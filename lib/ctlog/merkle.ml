@@ -63,6 +63,31 @@ let root_of_range t n =
   if n < 0 || n > t.len then invalid_arg "Merkle.root_of_range";
   mth t 0 n
 
+(* A compact range over leaves [0, size): the hashes of the maximal
+   complete subtrees, one per set bit of [size], smallest (rightmost)
+   first. *)
+type compact = { c_size : int; c_hashes : string list }
+
+let compact_empty = { c_size = 0; c_hashes = [] }
+let compact_size c = c.c_size
+
+(* Every set low bit of the old size is a subtree the new leaf
+   completes. *)
+let compact_push c h =
+  let rec push hashes size h =
+    match hashes with
+    | left :: rest when size land 1 = 1 -> push rest (size lsr 1) (node_hash left h)
+    | _ -> h :: hashes
+  in
+  { c_size = c.c_size + 1; c_hashes = push c.c_hashes c.c_size h }
+
+(* MTH splits off the largest complete subtree as the left child, so the
+   root folds the subtrees from the smallest up. *)
+let compact_root c =
+  match c.c_hashes with
+  | [] -> empty_root
+  | h :: larger -> List.fold_left (fun acc left -> node_hash left acc) h larger
+
 (* PATH(m, D[n]) per RFC 6962 §2.1.1, over leaves [lo, hi). *)
 let rec path t m lo hi =
   let n = hi - lo in

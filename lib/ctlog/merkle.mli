@@ -27,6 +27,26 @@ val root : t -> string
 val root_of_range : t -> int -> string
 (** [root_of_range t n] is the tree head over the first [n] leaves. *)
 
+(** {2 Compact ranges}
+
+    The hashes of the maximal complete subtrees over a prefix
+    [[0, size)] — one per set bit of [size].  That is enough to extend
+    the prefix leaf by leaf and to compute its root, in O(log size)
+    space: what a client that only checks tree heads needs to keep. *)
+
+type compact
+
+val compact_empty : compact
+val compact_size : compact -> int
+
+val compact_push : compact -> string -> compact
+(** [compact_push c h] extends [c] by one leaf whose {!leaf_hash} is
+    [h]. *)
+
+val compact_root : compact -> string
+(** [compact_root c] equals [root_of_range t (compact_size c)] for any
+    tree [t] whose first leaves hash to the ones pushed. *)
+
 val inclusion_proof : t -> int -> string list
 (** [inclusion_proof t i] is the audit path for leaf [i] against the
     current tree head (RFC 6962 §2.1.1). *)

@@ -10,11 +10,14 @@ let magic = "UNICERT-CKPT2\n"
 let old_magics = [ "UNICERT-CKPT1\n" ]
 
 (* Bump on any change to a marshalled state type.  v003: the fetch
-   cursor's [Merkle.t] gained its subtree-hash memo. *)
-let version = 3
+   cursor's [Merkle.t] gained its subtree-hash memo.  v004: the fetch
+   cursor keeps its delivered history in a journal beside it and holds
+   only the journal's record count and length. *)
+let version = 4
 let version_line = Printf.sprintf "v%03d\n" version
 
 let shard_file path shard = Printf.sprintf "%s.shard%d" path shard
+let journal_file path = path ^ ".raw"
 
 let save path t =
   let tmp = path ^ ".tmp" in
@@ -69,6 +72,9 @@ let load path =
    logic, so callers detect them up front (warn) and delete them once a
    run completes successfully.
 
+   A fetch cursor's journal ([path.fetch<k>.raw]) is judged with its
+   cursor: stale together, deleted together.
+
    The two families have independent lifetimes: a generate-sourced run
    owns only the shard cursors, and its shard count says nothing about
    whether a [.fetch<k>] file is live resume state from an interrupted
@@ -98,12 +104,17 @@ let stale_cursors path ~active_shards ~active_fetch =
                    String.length name > String.length prefix
                    && String.sub name 0 (String.length prefix) = prefix
                  then
-                   match
-                     ( active_of suffix,
-                       int_of_string_opt
-                         (String.sub name (String.length prefix)
-                            (String.length name - String.length prefix)) )
-                   with
+                   let rest =
+                     String.sub name (String.length prefix)
+                       (String.length name - String.length prefix)
+                   in
+                   (* A fetch cursor's journal goes with its cursor. *)
+                   let rest =
+                     if suffix = "fetch" && Filename.check_suffix rest ".raw"
+                     then Filename.chop_suffix rest ".raw"
+                     else rest
+                   in
+                   match (active_of suffix, int_of_string_opt rest) with
                    | Some active, Some k when k >= active ->
                        Some (Filename.concat dir name)
                    | _ -> None

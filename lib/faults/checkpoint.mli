@@ -31,6 +31,13 @@ val shard_file : string -> int -> string
     checkpoints its own index range independently, so one run keeps one
     cursor file per shard instead of a single global cursor. *)
 
+val journal_file : string -> string
+(** [journal_file path] is [path.raw]: the append-only journal a fetch
+    cursor ([path] = [base.fetch<k>]) keeps its delivered history in.
+    The cursor records the journal's committed record count and byte
+    length; the journal is written before the cursor is renamed into
+    place. *)
+
 val save : string -> 'a t -> unit
 (** Atomic: the file named never holds a partial write. *)
 
@@ -42,7 +49,8 @@ val stale_cursors :
   string -> active_shards:int option -> active_fetch:int option -> string list
 (** [stale_cursors path ~active_shards ~active_fetch] lists existing
     [path.shard<k>] files with [k >= active_shards] and [path.fetch<k>]
-    files with [k >= active_fetch] — cursors left behind by an earlier
+    files (and their [path.fetch<k>.raw] journals) with
+    [k >= active_fetch] — cursors left behind by an earlier
     run that used more shards (or logs) than the current one.  A [None]
     active count exempts that whole family: a generate-sourced run
     passes [active_fetch:None] because [.fetch<k>] files are another

@@ -1,7 +1,13 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch.
+(** SHA-256 (FIPS 180-4).
 
-    Used for Merkle tree hashing in the CT log substrate and for the
-    RSA signature digests. *)
+    The compression function is one portable C99 routine
+    ([sha256_stubs.c], no CPU-specific instructions); buffering,
+    padding and HMAC are OCaml.  The kernel runs once per run of whole
+    64-byte blocks, so hashing a long message costs one foreign call.
+
+    Used for Merkle tree hashing and page seals in the CT log
+    substrate, for the mock HMAC signatures of the corpus generator,
+    and for the RSA signature digests. *)
 
 val digest : string -> string
 (** [digest msg] is the 32-byte binary digest. *)

@@ -18,13 +18,17 @@
    - commit: a {!Monitors.Service.commit} of 512 staged rows onto a
      service already serving 8192 rows allocates at most 1.2x the same
      commit onto an empty service — the commit is O(staged), not
-     O(corpus).
+     O(corpus);
+   - poll: a {!Ctlog.Fetch.poll} of 64 new entries on a single-log feed
+     that has already delivered 4096 allocates at most 1.2x the same
+     poll after 64 — the poll is O(page), not O(history).
 
    The cold store pass and the fetch drift by a fraction of a word per
    certificate between runs, so gates compare ratios, never exact
    counts.  Wall-clock views of the same budgets live in perfbench
    ([obs.trace_overhead_pct], [store.replay_rows_per_s],
-   [fetch.retries_per_entry], [service.commit_busy_share]). *)
+   [fetch.retries_per_entry], [service.commit_busy_share],
+   [fetch.poll_ms]). *)
 
 let scale = 2000
 let seed = 1
@@ -110,6 +114,38 @@ let commit_words ~served ~batch =
   Monitors.Service.commit service ~upto:(served + batch);
   Gc.minor_words () -. before
 
+(* Minor words of one poll that delivers 64 new entries on a single-log
+   feed which has already delivered [history] entries.  Both sides draw
+   from the same corpus, so only the history differs. *)
+let poll_words ~history =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "unicert-speed-smoke-poll-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  let feed =
+    List.hd
+      (Ctlog.Fetch.feeds
+         ~checkpoint:(Filename.concat dir "cursors")
+         ~scale:(4096 + 64) ~seed
+         { Ctlog.Fetch.default_cfg with Ctlog.Fetch.logs = 1 })
+  in
+  Ctlog.Fetch.feed_publish feed history;
+  ignore (Ctlog.Fetch.poll feed);
+  Ctlog.Fetch.feed_publish feed (history + 64);
+  let before = Gc.minor_words () in
+  let s = Ctlog.Fetch.poll feed in
+  let words = Gc.minor_words () -. before in
+  rm_rf dir;
+  if List.length s.Ctlog.Fetch.s_raw <> 64 then begin
+    Printf.printf "speed-smoke: FAIL: the measured poll delivered %d of 64\n"
+      (List.length s.Ctlog.Fetch.s_raw);
+    exit 1
+  end;
+  words
+
 let () =
   Obs.Progress.set_override (Some false);
   (* Force lazy instrument tables and lint registries outside the
@@ -161,6 +197,14 @@ let () =
       (Printf.sprintf "512 rows onto 8192 %.0f / onto empty %.0f words"
          onto_full onto_empty)
     (onto_full /. onto_empty) (`At_most 1.2);
+
+  let after_page = poll_words ~history:64 in
+  let after_history = poll_words ~history:4096 in
+  gate "poll"
+    ~detail:
+      (Printf.sprintf "64 entries after 4096 %.0f / after 64 %.0f words"
+         after_history after_page)
+    (after_history /. after_page) (`At_most 1.2);
 
   if !failures > 0 then begin
     Printf.printf "speed-smoke: %d gate(s) failed\n" !failures;

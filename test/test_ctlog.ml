@@ -163,6 +163,17 @@ let test_merkle_oracle () =
     check_all "grown"
   done
 
+(* A compact range pushed leaf by leaf has the reference tree head at
+   every size up to 600 (past 512, so ten set bits merge at once). *)
+let test_merkle_compact () =
+  let c = ref Ctlog.Merkle.compact_empty in
+  for n = 0 to 600 do
+    if Ctlog.Merkle.compact_size !c <> n then Alcotest.failf "compact size %d" n;
+    if Ctlog.Merkle.compact_root !c <> ref_mth 0 n then
+      Alcotest.failf "compact root at size %d" n;
+    c := Ctlog.Merkle.compact_push !c (Ctlog.Merkle.leaf_hash (ref_leaf n))
+  done
+
 let test_wire_hex () =
   for b = 0 to 255 do
     let s = String.make 1 (Char.chr b) in
@@ -332,6 +343,7 @@ let suite =
     Alcotest.test_case "merkle consistency proofs" `Quick test_merkle_consistency;
     Alcotest.test_case "merkle rejects bogus roots" `Quick test_merkle_consistency_rejects;
     Alcotest.test_case "merkle equals RFC 6962 reference" `Quick test_merkle_oracle;
+    Alcotest.test_case "merkle compact range" `Quick test_merkle_compact;
     Alcotest.test_case "wire hex encoding" `Quick test_wire_hex;
     Alcotest.test_case "log SCTs" `Quick test_log_scts;
     Alcotest.test_case "dataset determinism" `Quick test_dataset_determinism;

@@ -199,10 +199,11 @@ let test_checkpoint_roundtrip () =
   check Alcotest.bool "missing loads as None" true
     ((Faults.Checkpoint.load file : int Faults.Checkpoint.t option) = None)
 
-(* A fetch cursor written by the v002 format (whose Merkle tree had no
-   subtree memo) must be refused by version, never unmarshalled. *)
-let test_v002_cursor_refused () =
-  let dir = Filename.temp_file "unicert-v002" "" in
+(* A fetch cursor written by an older format must be refused by
+   version, never unmarshalled: v002 (whose Merkle tree had no subtree
+   memo) and v003 (which carried its whole delivered DER history). *)
+let older_cursor_refused version () =
+  let dir = Filename.temp_file ("unicert-" ^ version) "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let base = Filename.concat dir "cursors" in
@@ -213,7 +214,7 @@ let test_v002_cursor_refused () =
   in
   let file = Ctlog.Fetch.cursor_file base 0 in
   let oc = open_out_bin file in
-  output_string oc "UNICERT-CKPT2\nv002\n";
+  output_string oc ("UNICERT-CKPT2\n" ^ version ^ "\n");
   Marshal.to_channel oc
     { Faults.Checkpoint.scale = 32; seed = 1; next_index = 0;
       state = ("log-00", [| "" |], 0) }
@@ -221,7 +222,7 @@ let test_v002_cursor_refused () =
   close_out oc;
   Ctlog.Fetch.feed_publish feed 4;
   (match Ctlog.Fetch.poll feed with
-  | _ -> Alcotest.fail "a v002 cursor was read"
+  | _ -> Alcotest.failf "a %s cursor was read" version
   | exception Faults.Checkpoint.Invalid msg ->
       let has sub =
         let n = String.length sub in
@@ -233,7 +234,9 @@ let test_v002_cursor_refused () =
       check Alcotest.bool
         ("refused by format version: " ^ msg)
         true
-        (has "format version v002 does not match this binary's v003"));
+        (has
+           (Printf.sprintf "format version %s does not match this binary's v004"
+              version)));
   Sys.remove file;
   Unix.rmdir dir
 
@@ -251,7 +254,11 @@ let test_stale_cursors () =
       Faults.Checkpoint.shard_file base 1;
       Faults.Checkpoint.shard_file base 5;
       base ^ ".fetch0";
+      base ^ ".fetch0.raw";
       base ^ ".fetch3";
+      base ^ ".fetch3.raw" (* a journal goes with its cursor *);
+      base ^ ".fetch3.rawx" (* not a journal: never stale *);
+      base ^ ".shard5.raw" (* only fetch cursors keep journals *);
       base ^ ".shardX" (* non-numeric: never stale *) ];
   (* Each cursor family is judged only against its own active count.  A
      fetch-sourced run with 2 live logs must not flag .fetch0/.fetch1
@@ -265,7 +272,7 @@ let test_stale_cursors () =
   check
     Alcotest.(list string)
     "k >= active detected per family"
-    [ base ^ ".fetch3"; base ^ ".shard5" ]
+    [ base ^ ".fetch3"; base ^ ".fetch3.raw"; base ^ ".shard5" ]
     stale;
   let fetch_exempt =
     Faults.Checkpoint.stale_cursors base ~active_shards:(Some 2)
@@ -283,7 +290,7 @@ let test_stale_cursors () =
   check
     Alcotest.(list string)
     "None exempts the shard family"
-    [ base ^ ".fetch3" ]
+    [ base ^ ".fetch3"; base ^ ".fetch3.raw" ]
     shard_exempt;
   let removed =
     Faults.Checkpoint.remove_stale base ~active_shards:(Some 2)
@@ -294,7 +301,11 @@ let test_stale_cursors () =
     (Sys.file_exists (Faults.Checkpoint.shard_file base 1));
   check Alcotest.bool "live fetch cursors kept" true
     (Sys.file_exists (base ^ ".fetch0"));
+  check Alcotest.bool "live fetch journals kept" true
+    (Sys.file_exists (base ^ ".fetch0.raw"));
   check Alcotest.bool "stale gone" false (Sys.file_exists (base ^ ".shard5"));
+  check Alcotest.bool "stale journal gone" false
+    (Sys.file_exists (base ^ ".fetch3.raw"));
   check
     Alcotest.(list string)
     "idempotent" []
@@ -621,7 +632,9 @@ let suite =
     Alcotest.test_case "quarantine roundtrip" `Quick test_quarantine_roundtrip;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "v002 fetch cursor refused" `Quick
-      test_v002_cursor_refused;
+      (older_cursor_refused "v002");
+    Alcotest.test_case "v003 fetch cursor refused" `Quick
+      (older_cursor_refused "v003");
     Alcotest.test_case "stale cursors" `Quick test_stale_cursors;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
     Alcotest.test_case "injector" `Quick test_injector;

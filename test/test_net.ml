@@ -575,6 +575,125 @@ let test_feed_poll_once () =
         Alcotest.(list int)
         "then only what arrives" [] (indices (Fetch.poll fresh)))
 
+(* A resumed corpus fetch re-delivers its journalled history: kill the
+   fetch, resume it to completion, then resume the finished cursors once
+   more so that every delivery (and the split view's quarantine) comes
+   back from the journals.  Each resumed result carries the
+   uninterrupted run's bytes and coverage. *)
+let test_fetch_resume_journal () =
+  let dir = tmp_dir "unicert-net-journal" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let checkpoint = Filename.concat dir "ckpt" in
+      let cfg =
+        small_cfg ~fault_rate:0.2 ~page_cap:4
+          ~equivocate:[ (Fetch.log_name 1, 1, 2) ]
+          ()
+      in
+      let covered covs =
+        String.concat "\n"
+          (List.map
+             (fun c ->
+               Printf.sprintf "%s %d+%d %s" c.Fetch.log c.Fetch.delivered
+                 c.Fetch.quarantined
+                 (String.concat ","
+                    (List.map
+                       (fun (lo, hi) -> Printf.sprintf "%d-%d" lo hi)
+                       c.Fetch.spans)))
+             covs)
+      in
+      let full_items, full_covs = Fetch.corpus ~scale:64 ~seed:5 cfg in
+      if not (List.exists (fun c -> c.Fetch.quarantined > 0) full_covs) then
+        Alcotest.fail "the split view must quarantine something";
+      ignore
+        (Fetch.corpus ~scale:64 ~seed:5 ~checkpoint ~stop_after_pages:3 cfg);
+      List.iter
+        (fun what ->
+          let items, covs =
+            Fetch.corpus ~scale:64 ~seed:5 ~checkpoint ~resume:true cfg
+          in
+          check Alcotest.string (what ^ ": items") (fps full_items) (fps items);
+          check Alcotest.string (what ^ ": coverage") (covered full_covs)
+            (covered covs))
+        [ "resumed"; "replayed from the journals" ])
+
+let feed_indices s = List.map Fetch.item_index (Fetch.items_of_session s)
+
+(* Publish 8 entries on log 0 and poll them, then restart the feed
+   (after [between] has had its way with the journal file) and poll the
+   history plus 8 more.  Returns everything delivered and the final
+   journal bytes. *)
+let feed_restart_run dir ~between =
+  let checkpoint = Filename.concat dir "cursors" in
+  let cfg = small_cfg ~page_cap:4 () in
+  let feed () = List.hd (Fetch.feeds ~checkpoint ~scale:64 ~seed:5 cfg) in
+  let journal =
+    Faults.Checkpoint.journal_file (Fetch.cursor_file checkpoint 0)
+  in
+  let f = feed () in
+  Fetch.feed_publish f 8;
+  let first = feed_indices (Fetch.poll f) in
+  if first = [] then Alcotest.fail "the first poll delivered nothing";
+  between journal;
+  let f = feed () in
+  Option.iter (Fetch.feed_publish f) (Fetch.feed_trusted f);
+  check
+    Alcotest.(list int)
+    "the restarted feed re-delivers its history" first
+    (feed_indices (Fetch.poll f));
+  Fetch.feed_publish f 16;
+  let more = feed_indices (Fetch.poll f) in
+  let ic = open_in_bin journal in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (first @ more, bytes)
+
+(* Journal bytes past the cursor's committed length — a save that died
+   between the journal write and the cursor rename — are ignored by the
+   restarted feed and overwritten by its next save: the journal ends up
+   byte-identical to one that never tore. *)
+let test_journal_torn_tail () =
+  let clean_dir = tmp_dir "unicert-net-journal-clean" in
+  let torn_dir = tmp_dir "unicert-net-journal-torn" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf clean_dir;
+      rm_rf torn_dir)
+    (fun () ->
+      let clean, clean_journal =
+        feed_restart_run clean_dir ~between:(fun _ -> ())
+      in
+      let torn, torn_journal =
+        feed_restart_run torn_dir ~between:(fun journal ->
+            let oc =
+              open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+                journal
+            in
+            output_string oc ("D" ^ String.make 65536 '\xff');
+            close_out oc)
+      in
+      check Alcotest.(list int) "same deliveries" clean torn;
+      check Alcotest.bool "the torn tail was overwritten" true
+        (String.equal clean_journal torn_journal))
+
+(* A journal shorter than the length its cursor committed has lost
+   history: a restarted feed refuses it rather than re-delivering a
+   silently shortened history. *)
+let test_journal_short_refused () =
+  let dir = tmp_dir "unicert-net-journal-short" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      match
+        feed_restart_run dir ~between:(fun journal ->
+            Unix.truncate journal ((Unix.stat journal).Unix.st_size - 1))
+      with
+      | _ -> Alcotest.fail "a short journal was read"
+      | exception Faults.Checkpoint.Invalid msg ->
+          if not (contains msg "journal holds") then
+            Alcotest.failf "unexpected refusal: %s" msg)
+
 let test_fetch_jobs_deterministic () =
   let cfg = small_cfg ~fault_rate:0.15 ~page_cap:4 () in
   let run jobs = Fetch.corpus ~scale:96 ~seed:7 ~jobs cfg in
@@ -639,6 +758,10 @@ let suite =
     Alcotest.test_case "fetch-resume-after-kill" `Quick
       test_fetch_resume_after_kill;
     Alcotest.test_case "feed-poll-once" `Quick test_feed_poll_once;
+    Alcotest.test_case "fetch-resume-journal" `Quick test_fetch_resume_journal;
+    Alcotest.test_case "journal-torn-tail" `Quick test_journal_torn_tail;
+    Alcotest.test_case "journal-short-refused" `Quick
+      test_journal_short_refused;
     Alcotest.test_case "fetch-jobs-deterministic" `Quick
       test_fetch_jobs_deterministic;
     Alcotest.test_case "fetch-mutator-drop" `Quick test_fetch_mutator_drop;

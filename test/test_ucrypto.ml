@@ -13,10 +13,26 @@ let test_sha256_vectors () =
   check Alcotest.string "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
     (Ucrypto.Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  (* exact block boundary *)
-  check Alcotest.string "64 bytes"
-    (Ucrypto.Sha256.hex (String.make 64 'a'))
-    (Ucrypto.Sha256.hex (String.make 64 'a'));
+  (* Lengths around the padding and block boundaries: 55 is the last
+     length whose padding fits one block, 56 the first that needs two;
+     63/64/65 and 119/120 straddle the first and second block ends. *)
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.string
+        (Printf.sprintf "%d x 'a'" n)
+        want
+        (Ucrypto.Sha256.hex (String.make n 'a')))
+    [ (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+      (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+      (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+      (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+      (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0");
+      (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb");
+      (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c") ];
+  (* FIPS 180-2 appendix B.3: one million repetitions of 'a'. *)
+  check Alcotest.string "1 000 000 x 'a'"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Ucrypto.Sha256.hex (String.make 1_000_000 'a'));
   check Alcotest.int "digest length" 32 (String.length (Ucrypto.Sha256.digest "x"))
 
 let hex s =
@@ -31,6 +47,27 @@ let test_hmac_vectors () =
   check Alcotest.string "tc2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
     (hex (Ucrypto.Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"));
+  (* RFC 4231 test cases 3-6: 50-byte data, a 25-byte key, a
+     truncated MAC, and a key longer than the block. *)
+  check Alcotest.string "tc3"
+    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+    (hex (Ucrypto.Sha256.hmac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd')));
+  check Alcotest.string "tc4"
+    "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+    (hex
+       (Ucrypto.Sha256.hmac
+          ~key:(String.init 25 (fun i -> Char.chr (i + 1)))
+          (String.make 50 '\xcd')));
+  check Alcotest.string "tc5 (truncated to 128 bits)"
+    "a3b6167473100ee06e0c796c2955552b"
+    (String.sub
+       (hex (Ucrypto.Sha256.hmac ~key:(String.make 20 '\x0c') "Test With Truncation"))
+       0 32);
+  check Alcotest.string "tc6 (long key)"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (hex
+       (Ucrypto.Sha256.hmac ~key:(String.make 131 '\xaa')
+          "Test Using Larger Than Block-Size Key - Hash Key First"));
   (* Long key forces the hashing branch. *)
   let long_key = String.make 131 '\xaa' in
   check Alcotest.string "tc7 (long key)"
@@ -40,6 +77,26 @@ let test_hmac_vectors () =
           "This is a test using a larger than block-size key and a larger than \
            block-size data. The key needs to be hashed before being used by the \
            HMAC algorithm."))
+
+(* Feeding a message to [update] in arbitrary pieces gives the
+   one-shot digest: the kernel sees the same blocks whatever the
+   split. *)
+let prop_sha256_split_update =
+  QCheck.Test.make ~name:"sha256 split update = digest" ~count:300
+    QCheck.(pair (string_of_size (Gen.int_range 0 300)) (small_list small_nat))
+    (fun (msg, cuts) ->
+      let ctx = Ucrypto.Sha256.init () in
+      let pos =
+        List.fold_left
+          (fun pos cut ->
+            let take = min cut (String.length msg - pos) in
+            Ucrypto.Sha256.update ctx (String.sub msg pos take);
+            pos + take)
+          0 cuts
+      in
+      Ucrypto.Sha256.update ctx
+        (String.sub msg pos (String.length msg - pos));
+      String.equal (Ucrypto.Sha256.final ctx) (Ucrypto.Sha256.digest msg))
 
 let test_prng_determinism () =
   let a = Ucrypto.Prng.create 42 and b = Ucrypto.Prng.create 42 in
@@ -195,6 +252,7 @@ let suite =
     Alcotest.test_case "miller-rabin" `Quick test_primality;
     Alcotest.test_case "rsa sign/verify" `Slow test_rsa;
     Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle;
+    qtest prop_sha256_split_update;
     qtest prop_shift_roundtrip;
     qtest prop_gcd;
     qtest prop_divmod;
