@@ -1354,12 +1354,12 @@ let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
   let t = fresh ~scale ~seed in
   List.iter (fun p -> merge_into t p.agg) parts;
   t.faults.aborted <- Faults.Policy.aborted budget;
-  (* Incremental recompute never restored the fetch coverage into the
-     report (pinned by @par-smoke); the rewritten manifest keeps it. *)
+  (* A replay and an incremental recompute both report the coverage
+     the store recorded when it was fetched. *)
   t.coverage <-
     (match (fetched, mode) with
     | Some (_, coverage), _ -> coverage
-    | None, Replay db -> (
+    | None, (Replay db | Rewrite (db, _)) -> (
         match Store.Db.meta db "coverage" with
         | None -> []
         | Some s -> (

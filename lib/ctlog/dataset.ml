@@ -351,6 +351,22 @@ let era_flaws g spec ~is_idn ~year =
   end
   else []
 
+(* An IDNCert carries an A-label: some SAN dNSName label starts with the
+   (case-sensitive) ACE prefix "xn--".  Read from the bytes, so a
+   generated entry and the same certificate fetched off a log agree. *)
+let rec ace_label_at name i =
+  i + 4 <= String.length name
+  && (((i = 0 || String.unsafe_get name (i - 1) = '.')
+       && String.unsafe_get name i = 'x'
+       && String.unsafe_get name (i + 1) = 'n'
+       && String.unsafe_get name (i + 2) = '-'
+       && String.unsafe_get name (i + 3) = '-')
+      || ace_label_at name (i + 1))
+
+let has_ace_label name = ace_label_at name 0
+
+let is_idn_cert cert = List.exists has_ace_label (X509.Certificate.san_dns_names cert)
+
 let generate_entry g issuer =
   let is_idn = Ucrypto.Prng.float g < issuer.idn_share in
   let issued = sample_issued g issuer in
@@ -377,7 +393,9 @@ let generate_entry g issuer =
         else raw.[i])
   in
   let cert = build_cert g issuer spec ~issued ~validity ~serial in
-  { cert; issued; issuer; flaws; is_idn }
+  (* The draw shaped the certificate; whether it is an IDNCert is read
+     back from what was built (flaws can add or remove A-labels). *)
+  { cert; issued; issuer; flaws; is_idn = is_idn_cert cert }
 
 (* Telemetry handles, resolved once: the per-entry path below must not
    pay a registry lookup per certificate. *)
@@ -473,16 +491,7 @@ let entry_of_cert (cert : X509.Certificate.t) =
                    Printf.sprintf "fetched entry: unknown issuer %S" org })
       | Some issuer ->
           let issued = fst cert.X509.Certificate.tbs.X509.Certificate.not_before in
-          let is_idn =
-            List.exists
-              (fun d ->
-                List.exists
-                  (fun label ->
-                    String.length label >= 4 && String.sub label 0 4 = "xn--")
-                  (String.split_on_char '.' d))
-              (X509.Certificate.san_dns_names cert)
-          in
-          Ok { cert; issued; issuer; flaws = []; is_idn })
+          Ok { cert; issued; issuer; flaws = []; is_idn = is_idn_cert cert })
 
 let prewarm () =
   ignore (Lazy.force issuer_weights);

@@ -38,6 +38,11 @@ type entry = {
   issuer : issuer;
   flaws : Flaws.t list;  (** injected defects; [] for compliant certs *)
   is_idn : bool;
+      (** some SAN dNSName of [cert] has a label starting with the
+          case-sensitive ACE prefix ["xn--"] (the paper's IDNCert); read
+          from the bytes by {!generate_entry} and {!entry_of_cert} alike,
+          so a generated entry and the same certificate fetched off a
+          log agree *)
 }
 
 val default_scale : int

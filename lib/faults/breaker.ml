@@ -62,9 +62,12 @@ let prewarm () =
 let transition which =
   Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force obs_transitions) which)
 
+(* The closed-state success runs once per lint per certificate: read
+   before writing, so the common no-crash path leaves the shared cell's
+   cache line unwritten. *)
 let success t =
   match Atomic.get t.state with
-  | Closed -> Atomic.set t.consecutive 0
+  | Closed -> if Atomic.get t.consecutive <> 0 then Atomic.set t.consecutive 0
   | Half_open ->
       if Atomic.compare_and_set t.state Half_open Closed then begin
         Atomic.set t.consecutive 0;

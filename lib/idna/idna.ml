@@ -131,82 +131,91 @@ let bidi_category cp =
           || (cp >= 0x10A0 && cp <= 0x13FF)
           || (cp >= 0x1E00 && cp <= 0x1FFF)
           || (cp >= 0x3040 && cp <= 0xD7FF)
-          || (cp >= 0x1E00 && cp <= 0x1FFF)
           || (cp >= 0xA000 && cp <= 0xABFF)
   then B_l
   else B_on
+
+(* Category scans straight over the code points: the common label has
+   no RTL character, and answering that must not build a category
+   array. *)
+let rec any_cat p cps i =
+  i < Array.length cps
+  && (p (bidi_category (Array.unsafe_get cps i)) || any_cat p cps (i + 1))
+
+let rec all_cat p cps i =
+  i >= Array.length cps
+  || (p (bidi_category (Array.unsafe_get cps i)) && all_cat p cps (i + 1))
+
+(* The last category that is not NSM, scanning back from [i]. *)
+let rec last_strong cps i =
+  if i < 0 then None
+  else
+    match bidi_category cps.(i) with
+    | B_nsm -> last_strong cps (i - 1)
+    | c -> Some c
+
+(* Every R, AL and AN code point lies at or above U+0590, so the RTL
+   scan of a Latin/Cyrillic/Greek label never computes a category. *)
+let rec any_rtl cps i =
+  i < Array.length cps
+  && ((let cp = Array.unsafe_get cps i in
+       cp >= 0x590 && match bidi_category cp with B_r_al | B_an -> true | _ -> false)
+     || any_rtl cps (i + 1))
+let is_en = function B_en -> true | _ -> false
+let is_an = function B_an -> true | _ -> false
+
+let rtl_allowed = function
+  | B_r_al | B_an | B_en | B_es | B_cs | B_et | B_on | B_nsm -> true
+  | B_l -> false
+
+let ltr_allowed = function
+  | B_l | B_en | B_es | B_cs | B_et | B_on | B_nsm -> true
+  | B_r_al | B_an -> false
+
+let rec any_bidi_control cps i =
+  i < Array.length cps
+  && (Unicode.Props.is_bidi_control (Array.unsafe_get cps i) || any_bidi_control cps (i + 1))
 
 (* RFC 5893 §2, conditions 1–6, applied to every label carrying an RTL
    character (plus an outright ban on explicit bidi controls, which are
    DISALLOWED anyway). *)
 let bidi_ok cps =
-  if Array.exists Unicode.Props.is_bidi_control cps then false
+  if any_bidi_control cps 0 then false
+  else if not (any_rtl cps 0) then true
   else begin
-    let cats = Array.map bidi_category cps in
-    let has_rtl = Array.exists (fun c -> c = B_r_al || c = B_an) cats in
-    if not has_rtl then true
-    else begin
-      let n = Array.length cats in
-      (* Condition 1: the first character must be L, R or AL. *)
-      let first_ok = n > 0 && (cats.(0) = B_l || cats.(0) = B_r_al) in
-      if not first_ok then false
-      else if cats.(0) = B_r_al then begin
-        (* RTL label: conditions 2–4. *)
-        let allowed = function
-          | B_r_al | B_an | B_en | B_es | B_cs | B_et | B_on | B_nsm -> true
-          | B_l -> false
-        in
-        let all_allowed = Array.for_all allowed cats in
-        (* Last non-NSM character must be R/AL/EN/AN. *)
-        let rec last_strong i =
-          if i < 0 then None
-          else if cats.(i) = B_nsm then last_strong (i - 1)
-          else Some cats.(i)
-        in
-        let end_ok =
-          match last_strong (n - 1) with
-          | Some (B_r_al | B_en | B_an) -> true
-          | _ -> false
-        in
-        let has_en = Array.exists (( = ) B_en) cats in
-        let has_an = Array.exists (( = ) B_an) cats in
-        all_allowed && end_ok && not (has_en && has_an)
-      end
-      else begin
+    let n = Array.length cps in
+    (* Condition 1: the first character must be L, R or AL. *)
+    match bidi_category cps.(0) with
+    | B_r_al ->
+        (* RTL label: conditions 2–4.  The last non-NSM character must
+           be R/AL/EN/AN, and EN and AN must not mix. *)
+        all_cat rtl_allowed cps 0
+        && (match last_strong cps (n - 1) with
+           | Some (B_r_al | B_en | B_an) -> true
+           | _ -> false)
+        && not (any_cat is_en cps 0 && any_cat is_an cps 0)
+    | B_l ->
         (* LTR label containing AN/EN-triggering RTL content: conditions
            5–6. *)
-        let allowed = function
-          | B_l | B_en | B_es | B_cs | B_et | B_on | B_nsm -> true
-          | B_r_al | B_an -> false
-        in
-        let all_allowed = Array.for_all allowed cats in
-        let rec last_strong i =
-          if i < 0 then None
-          else if cats.(i) = B_nsm then last_strong (i - 1)
-          else Some cats.(i)
-        in
-        let end_ok =
-          match last_strong (n - 1) with Some (B_l | B_en) -> true | _ -> false
-        in
-        all_allowed && end_ok
-      end
-    end
+        all_cat ltr_allowed cps 0
+        && (match last_strong cps (n - 1) with Some (B_l | B_en) -> true | _ -> false)
+    | _ -> false
   end
 
 let ulabel_issues cps =
-  if Array.length cps = 0 then [ Empty_label ]
+  let n = Array.length cps in
+  if n = 0 then [ Empty_label ]
   else begin
     let issues = ref [] in
+    for i = 0 to n - 1 do
+      let cp = Array.unsafe_get cps i in
+      match property cp with
+      | Pvalid -> ()
+      | Mapped _ | Disallowed -> issues := Unpermitted_char cp :: !issues
+    done;
     let add i = issues := i :: !issues in
-    Array.iter
-      (fun cp ->
-        match property cp with
-        | Pvalid -> ()
-        | Mapped _ | Disallowed -> add (Unpermitted_char cp))
-      cps;
     if not (Unicode.Normalize.is_nfc cps) then add Not_nfc;
     if is_combining cps.(0) then add Leading_combining_mark;
-    let n = Array.length cps in
     if cps.(0) = Char.code '-' then add Leading_hyphen;
     if cps.(n - 1) = Char.code '-' then add Trailing_hyphen;
     if n >= 4 && cps.(2) = Char.code '-' && cps.(3) = Char.code '-' then add Bad_hyphen34;
@@ -217,20 +226,18 @@ let ulabel_issues cps =
 let alabel_issues l =
   if not (Dns.is_a_label_candidate l) then [ Malformed_punycode "missing xn-- prefix" ]
   else begin
-    let body = String.sub l 4 (String.length l - 4) in
-    match Punycode.decode (String.lowercase_ascii body) with
+    let body = String.lowercase_ascii (String.sub l 4 (String.length l - 4)) in
+    match Punycode.decode body with
     | Error m -> [ Malformed_punycode m ]
     | Ok [||] -> [ Malformed_punycode "empty A-label body" ]
     | Ok cps ->
         let issues =
-          (* The decoded form must not be pure ASCII and must
-             re-encode to the same body (canonical form). *)
-          match Punycode.encode cps with
+          (* The decoded form must re-encode to the same body (canonical
+             form); the comparison builds no re-encoded string. *)
+          match Punycode.encodes_to cps body with
           | Error m -> [ Malformed_punycode m ]
-          | Ok reencoded ->
-              if not (String.equal reencoded (String.lowercase_ascii body)) then
-                [ Non_canonical_alabel ]
-              else []
+          | Ok true -> []
+          | Ok false -> [ Non_canonical_alabel ]
         in
         let issues = if String.length l > 63 then Encoded_label_too_long :: issues else issues in
         (* Hyphen-3-4 does not apply to the xn-- prefix itself, so drop

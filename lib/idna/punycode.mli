@@ -7,6 +7,11 @@ val encode : Unicode.Cp.t array -> (string, string) result
     (without the ["xn--"] prefix).  Fails on code points that are not
     Unicode scalar values. *)
 
+val encodes_to : Unicode.Cp.t array -> string -> (bool, string) result
+(** [encodes_to cps s] is [Ok (encode cps = Ok s)] when [cps] encodes,
+    and [encode]'s error otherwise — computed by comparing each output
+    character in place, without building the encoding. *)
+
 val decode : string -> (Unicode.Cp.t array, string) result
 (** [decode s] inverts {!encode}.  Fails on characters outside the
     Punycode alphabet, overflow, or out-of-range deltas — the

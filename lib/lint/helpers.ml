@@ -59,10 +59,52 @@ let sia_locations ctx =
   | Some (Ok descs) -> List.map snd descs
   | Some (Error _) | None -> []
 
+(* [String.exists] without its per-call closure: [p] must be a
+   top-level function for the scan to allocate nothing. *)
+let rec exists_char_from p s i =
+  i < String.length s && (p (String.unsafe_get s i) || exists_char_from p s (i + 1))
+
+let exists_char p s = exists_char_from p s 0
+
+let is_hi c = Char.code c > 0x7F
+let has_hi payload = exists_char is_hi payload
+
+(* The common payload is pure ASCII: answer it without building. *)
 let non_ia5 payload =
-  let bad = ref [] in
-  String.iter (fun c -> if Char.code c > 0x7F then bad := Char.code c :: !bad) payload;
-  List.rev !bad
+  if not (has_hi payload) then []
+  else begin
+    let bad = ref [] in
+    String.iter (fun c -> if Char.code c > 0x7F then bad := Char.code c :: !bad) payload;
+    List.rev !bad
+  end
+
+let gn_has_hi = function
+  | X509.General_name.Dns_name s | X509.General_name.Rfc822_name s
+  | X509.General_name.Uri s ->
+      has_hi s
+  | X509.General_name.Other_name _ | X509.General_name.Directory_name _
+  | X509.General_name.Ip_address _ | X509.General_name.Registered_id _ ->
+      false
+
+let rec any_gn_hi keep = function
+  | [] -> false
+  | gn :: rest -> (keep gn && gn_has_hi gn) || any_gn_hi keep rest
+
+let rec any_location_hi = function
+  | [] -> false
+  | (_, gn) :: rest -> gn_has_hi gn || any_location_hi rest
+
+let access_has_hi = function
+  | Some (Ok descs) -> any_location_hi descs
+  | Some (Error _) | None -> false
 
 let a_labels domain =
   List.filter Idna.Dns.is_a_label_candidate (Idna.Dns.split_labels domain)
+
+let rec any_pair clash = function
+  | [] -> false
+  | v :: rest -> clashes_with clash v rest || any_pair clash rest
+
+and clashes_with clash v = function
+  | [] -> false
+  | w :: rest -> clash v w || clashes_with clash v rest

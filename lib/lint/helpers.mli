@@ -51,7 +51,31 @@ val aia_locations : Ctx.t -> X509.General_name.t list
 val sia_locations : Ctx.t -> X509.General_name.t list
 
 val non_ia5 : string -> int list
-(** Byte values above 0x7F present in the payload. *)
+(** Byte values above 0x7F present in the payload ([[]], built from
+    nothing, for a pure-ASCII payload). *)
+
+val exists_char : (char -> bool) -> string -> bool
+(** [String.exists] that allocates nothing when [p] is a closed
+    function. *)
+
+(** {1 Pass-path scans}
+
+    Allocation-free tests that a lint's failure path has anything to
+    report: a lint runs them first and builds its detail strings only
+    when one says yes. *)
+
+val any_gn_hi : (X509.General_name.t -> bool) -> Ctx.general_names -> bool
+(** [any_gn_hi keep gns]: some name satisfying [keep] carries an
+    IA5 payload (dNSName, rfc822Name, URI) with a byte above 0x7F. *)
+
+val any_pair : ('a -> 'a -> bool) -> 'a list -> bool
+(** [any_pair clash l]: two elements [a] before [b] of [l] with
+    [clash a b]. *)
+
+val access_has_hi :
+  ((Asn1.Oid.t * X509.General_name.t) list, string) result option -> bool
+(** The same test over the accessLocations of a parsed AIA or SIA
+    extension ([Ctx.aia], [Ctx.sia]). *)
 
 val a_labels : string -> string list
 (** The xn-- labels of a domain string. *)

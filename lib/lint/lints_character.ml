@@ -12,21 +12,17 @@ open Helpers
 
 let subject_control_chars name description ~bits ~pred ~level ~source ~is_new
     ~effective =
+  let value_issues (v : Ctx.aval) =
+    if v.Ctx.a_mask land bits = 0 then []
+    else
+      Array.to_list v.Ctx.a_cps
+      |> List.filter pred
+      |> List.map (fun cp ->
+             Printf.sprintf "%s contains %s" (X509.Attr.name v.Ctx.a_attr)
+               (describe_cp cp))
+  in
   mk ~name ~description ~source ~level ~nc_type:Invalid_character ~is_new ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun (v : Ctx.aval) ->
-            if v.Ctx.a_mask land bits = 0 then []
-            else
-              Array.to_list v.Ctx.a_cps
-              |> List.filter pred
-              |> List.map (fun cp ->
-                     Printf.sprintf "%s contains %s" (X509.Attr.name v.Ctx.a_attr)
-                       (describe_cp cp)))
-          (subject_values ctx)
-      in
-      emit level bad)
+    (fun ctx -> emit level (List.concat_map value_issues (subject_values ctx)))
 
 let dnsname_lint name description ~source ~level ~is_new ~effective check =
   mk ~name ~description ~source ~level ~nc_type:Invalid_character ~is_new ~effective
@@ -39,6 +35,19 @@ let masked_st_lint ~st ~bits ~pred ~fmt (v : Ctx.aval) =
     Array.to_list v.Ctx.a_cps
     |> List.filter pred
     |> List.map (fun cp -> fmt (X509.Attr.name v.Ctx.a_attr) (describe_cp cp))
+
+(* A dNSName byte the unpermitted-character lint reports: its failure
+   path reads the payload as Latin-1, so each byte is its own code
+   point. *)
+let unpermitted_byte c =
+  let cp = Char.code c in
+  cp > 0x7F || Unicode.Props.is_c0_control cp || Unicode.Props.is_del cp
+
+let dns_has_unpermitted_byte = function
+  | X509.General_name.Dns_name s -> exists_char unpermitted_byte s
+  | _ -> false
+
+let is_blank c = c = ' ' || c = '\t'
 
 let lints : Types.t list =
   [
@@ -55,16 +64,13 @@ let lints : Types.t list =
         "Values declared PrintableString must stay within the PrintableString \
          repertoire (RFC 5280 via X.680)."
       ~source:Rfc5280 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Printable_string
-               ~bits:Unicode.Props.m_not_printable
-               ~pred:(fun cp -> not (Unicode.Props.is_printable_string_char cp))
-               ~fmt:(Printf.sprintf "%s PrintableString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      (let value_issues =
+         masked_st_lint ~st:Asn1.Str_type.Printable_string
+           ~bits:Unicode.Props.m_not_printable
+           ~pred:(fun cp -> not (Unicode.Props.is_printable_string_char cp))
+           ~fmt:(Printf.sprintf "%s PrintableString contains %s")
+       in
+       fun ctx -> emit Must (List.concat_map value_issues (all_values ctx)));
     mk ~name:"w_community_subject_dn_trailing_whitespace"
       ~description:"Subject DN values should not end with whitespace."
       ~source:Community ~level:Should_not ~nc_type:Invalid_character
@@ -141,35 +147,29 @@ let lints : Types.t list =
       ~source:Cab_br ~level:Must ~is_new:false ~effective:cab_br_date
       (fun fact ->
         let name = fact.Ctx.d_name in
-        if String.exists (fun c -> c = ' ' || c = '\t') name then
+        if exists_char is_blank name then
           [ Printf.sprintf "%S contains whitespace" name ]
         else []);
     mk ~name:"e_numeric_string_invalid_characters"
       ~description:"NumericString values allow only digits and space (X.680)."
       ~source:X680 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Numeric_string
-               ~bits:Unicode.Props.m_not_numeric
-               ~pred:(fun cp -> not (Unicode.Props.is_numeric_string_char cp))
-               ~fmt:(Printf.sprintf "%s NumericString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      (let value_issues =
+         masked_st_lint ~st:Asn1.Str_type.Numeric_string
+           ~bits:Unicode.Props.m_not_numeric
+           ~pred:(fun cp -> not (Unicode.Props.is_numeric_string_char cp))
+           ~fmt:(Printf.sprintf "%s NumericString contains %s")
+       in
+       fun ctx -> emit Must (List.concat_map value_issues (all_values ctx)));
     mk ~name:"e_visible_string_invalid_characters"
       ~description:"VisibleString values allow only printable ASCII (X.680)."
       ~source:X680 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Visible_string
-               ~bits:Unicode.Props.m_not_visible
-               ~pred:(fun cp -> not (Unicode.Props.is_visible_string_char cp))
-               ~fmt:(Printf.sprintf "%s VisibleString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      (let value_issues =
+         masked_st_lint ~st:Asn1.Str_type.Visible_string
+           ~bits:Unicode.Props.m_not_visible
+           ~pred:(fun cp -> not (Unicode.Props.is_visible_string_char cp))
+           ~fmt:(Printf.sprintf "%s VisibleString contains %s")
+       in
+       fun ctx -> emit Must (List.concat_map value_issues (all_values ctx)));
     subject_control_chars "w_subject_dn_del_character"
       "Subject DN values should not contain the DEL (U+007F) character."
       ~bits:Unicode.Props.m_del ~pred:Unicode.Props.is_del ~level:Should_not
@@ -215,6 +215,8 @@ let lints : Types.t list =
       ~source:Rfc8399 ~level:Must ~nc_type:Invalid_character ~is_new:true
       ~effective:rfc8399_date
       (fun ctx ->
+        if not (List.exists dns_has_unpermitted_byte (san_names ctx)) then Pass
+        else
         let bad =
           List.concat_map
             (fun gn ->
@@ -235,15 +237,12 @@ let lints : Types.t list =
       ~description:"UTF8String DN values must not contain C0/C1 control codes."
       ~source:Rfc9549 ~level:Must ~nc_type:Invalid_character ~is_new:true
       ~effective:rfc8399_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Utf8_string
-               ~bits:Unicode.Props.m_control ~pred:Unicode.Props.is_control
-               ~fmt:(Printf.sprintf "%s UTF8String contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      (let value_issues =
+         masked_st_lint ~st:Asn1.Str_type.Utf8_string
+           ~bits:Unicode.Props.m_control ~pred:Unicode.Props.is_control
+           ~fmt:(Printf.sprintf "%s UTF8String contains %s")
+       in
+       fun ctx -> emit Must (List.concat_map value_issues (all_values ctx)));
     subject_control_chars "w_subject_dn_bidi_controls"
       "Subject DN values should not contain bidirectional control characters."
       ~bits:Unicode.Props.m_bidi ~pred:Unicode.Props.is_bidi_control

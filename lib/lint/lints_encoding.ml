@@ -10,8 +10,12 @@ let st_name = Asn1.Str_type.name
 (* Attribute must be encoded with one of [allowed] string types. *)
 let attr_encoding_lint ~name ~attr ~in_issuer ~allowed ~source ~level ~is_new ~effective
     ~description =
+  let bad_value (v : Ctx.aval) = v.Ctx.a_attr = attr && not (List.mem v.Ctx.a_st allowed) in
   mk ~name ~description ~source ~level ~nc_type:Invalid_encoding ~is_new ~effective
     (fun ctx ->
+      if not (List.exists bad_value (if in_issuer then ctx.Ctx.issuer_vals else ctx.Ctx.subject_vals))
+      then Pass
+      else
       let values = if in_issuer then issuer_values ~attrs:[ attr ] ctx
                    else subject_values ~attrs:[ attr ] ctx in
       let bad =
@@ -37,13 +41,16 @@ let not_printable_or_utf8 name attr =
          (X509.Attr.name attr))
 
 (* GeneralName payloads are IA5String; raw bytes above 0x7F violate the
-   declared encoding. *)
-let gn_ia5_lint ~name ~what ~select ~effective ~is_new =
+   declared encoding.  [hi ctx] is the allocation-free test that some
+   selected payload has such a byte. *)
+let gn_ia5_lint ~name ~what ~select ~hi ~effective ~is_new =
   mk ~name
     ~description:
       (Printf.sprintf "%s values are IA5String and must stay within 7-bit ASCII." what)
     ~source:Rfc5280 ~level:Must ~nc_type:Invalid_encoding ~is_new ~effective
     (fun ctx ->
+      if not (hi ctx) then Pass
+      else
       let bad =
         List.concat_map
           (fun (kind, payload) ->
@@ -57,18 +64,14 @@ let gn_ia5_lint ~name ~what ~select ~effective ~is_new =
    only ever match bytes >= 0x80, so pure-ASCII payloads (the cached
    [a_has_hi] bit) skip the scan. *)
 let utf8_pattern_lint ~name ~description ~is_new ~level ~source ~effective pred =
+  let value_issues (v : Ctx.aval) =
+    if v.Ctx.a_st <> Asn1.Str_type.Utf8_string || not v.Ctx.a_has_hi then []
+    else
+      pred v.Ctx.a_raw
+      |> List.map (fun m -> X509.Attr.name v.Ctx.a_attr ^ ": " ^ m)
+  in
   mk ~name ~description ~source ~level ~nc_type:Invalid_encoding ~is_new ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun (v : Ctx.aval) ->
-            if v.Ctx.a_st <> Asn1.Str_type.Utf8_string || not v.Ctx.a_has_hi then []
-            else
-              pred v.Ctx.a_raw
-              |> List.map (fun m -> X509.Attr.name v.Ctx.a_attr ^ ": " ^ m))
-          (all_values ctx)
-      in
-      emit level bad)
+    (fun ctx -> emit level (List.concat_map value_issues (all_values ctx)))
 
 let overlong_sequences raw =
   let issues = ref [] in
@@ -97,6 +100,10 @@ let surrogate_sequences raw =
   List.rev !issues
 
 let explicit_texts ctx = ctx.Ctx.etexts
+
+(* Two values of one attribute in different string types. *)
+let mixed (a : Ctx.aval) (b : Ctx.aval) =
+  a.Ctx.a_attr = b.Ctx.a_attr && a.Ctx.a_st <> b.Ctx.a_st
 
 let lints : Types.t list =
   [
@@ -272,25 +279,40 @@ let lints : Types.t list =
       ~select:(fun ctx ->
         List.filter (function X509.General_name.Dns_name _ -> true | _ -> false)
           (san_names ctx))
+      ~hi:(fun ctx ->
+        any_gn_hi (function X509.General_name.Dns_name _ -> true | _ -> false)
+          (san_names ctx))
       ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_san_rfc822_not_ia5" ~what:"SAN rfc822Name"
       ~select:(fun ctx ->
         List.filter (function X509.General_name.Rfc822_name _ -> true | _ -> false)
+          (san_names ctx))
+      ~hi:(fun ctx ->
+        any_gn_hi (function X509.General_name.Rfc822_name _ -> true | _ -> false)
           (san_names ctx))
       ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_san_uri_not_ia5" ~what:"SAN URI"
       ~select:(fun ctx ->
         List.filter (function X509.General_name.Uri _ -> true | _ -> false)
           (san_names ctx))
+      ~hi:(fun ctx ->
+        any_gn_hi (function X509.General_name.Uri _ -> true | _ -> false)
+          (san_names ctx))
       ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_ian_name_not_ia5" ~what:"IssuerAltName"
-      ~select:ian_names ~effective:rfc5280_date ~is_new:true;
+      ~select:ian_names
+      ~hi:(fun ctx -> any_gn_hi (fun _ -> true) (ian_names ctx))
+      ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_crldp_uri_not_ia5" ~what:"CRLDistributionPoints"
-      ~select:crldp_list ~effective:rfc5280_date ~is_new:true;
+      ~select:crldp_list
+      ~hi:(fun ctx -> any_gn_hi (fun _ -> true) (crldp_list ctx))
+      ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_aia_location_not_ia5" ~what:"AIA accessLocation"
-      ~select:aia_locations ~effective:rfc5280_date ~is_new:true;
+      ~select:aia_locations
+      ~hi:(fun ctx -> access_has_hi ctx.Ctx.aia) ~effective:rfc5280_date ~is_new:true;
     gn_ia5_lint ~name:"e_ext_sia_location_not_ia5" ~what:"SIA accessLocation"
-      ~select:sia_locations ~effective:rfc5280_date ~is_new:true;
+      ~select:sia_locations
+      ~hi:(fun ctx -> access_has_hi ctx.Ctx.sia) ~effective:rfc5280_date ~is_new:true;
     (* Unicode instead of Punycode (2) *)
     mk ~name:"e_ext_san_dns_unicode_not_punycode"
       ~description:
@@ -459,6 +481,8 @@ let lints : Types.t list =
       ~source:Community ~level:Should_not ~nc_type:Invalid_encoding ~is_new:true
       ~effective:community_date
       (fun ctx ->
+        if not (any_pair mixed ctx.Ctx.subject_vals) then Pass
+        else
         let tbl = Hashtbl.create 8 in
         List.iter
           (fun (v : Ctx.aval) ->

@@ -11,18 +11,17 @@ let length_lint name attr bound =
       (Printf.sprintf "%s must not exceed %d characters (RFC 5280 upper bounds)."
          (X509.Attr.name attr) bound)
     ~source:Rfc5280 ~level:Must ~nc_type:Illegal_format ~effective:rfc5280_date
-    (fun ctx ->
-      let bad =
-        List.filter_map
-          (fun (v : Ctx.aval) ->
-            if v.Ctx.a_attr = attr && Array.length v.Ctx.a_cps > bound then
-              Some
-                (Printf.sprintf "%s has %d characters (max %d)" (X509.Attr.name attr)
-                   (Array.length v.Ctx.a_cps) bound)
-            else None)
-          (subject_values ctx)
-      in
-      emit Must bad)
+    (let value_issue (v : Ctx.aval) =
+       if v.Ctx.a_attr = attr && Array.length v.Ctx.a_cps > bound then
+         Some
+           (Printf.sprintf "%s has %d characters (max %d)" (X509.Attr.name attr)
+              (Array.length v.Ctx.a_cps) bound)
+       else None
+     in
+     fun ctx -> emit Must (List.filter_map value_issue (subject_values ctx)))
+
+let is_nonzero c = c <> '\x00'
+let is_star c = c = '*'
 
 let lints : Types.t list =
   [
@@ -139,7 +138,7 @@ let lints : Types.t list =
       (fun ctx ->
         let serial = ctx.Ctx.cert.X509.Certificate.tbs.X509.Certificate.serial in
         if serial = "" || Char.code serial.[0] >= 0x80
-           || String.for_all (fun c -> c = '\x00') serial
+           || not (exists_char is_nonzero serial)
         then Fail [ "serial is zero or negative" ]
         else Pass);
     mk ~name:"e_validity_time_wrong_form"
@@ -157,10 +156,12 @@ let lints : Types.t list =
           | true, X509.Certificate.Utc | false, X509.Certificate.Generalized -> None
         in
         let tbs = ctx.Ctx.cert.X509.Certificate.tbs in
-        emit Must
-          (List.filter_map Fun.id
-             [ check "notBefore" tbs.X509.Certificate.not_before;
-               check "notAfter" tbs.X509.Certificate.not_after ]));
+        match
+          ( check "notBefore" tbs.X509.Certificate.not_before,
+            check "notAfter" tbs.X509.Certificate.not_after )
+        with
+        | None, None -> Pass
+        | before, after -> emit Must (List.filter_map Fun.id [ before; after ]));
     mk ~name:"e_subject_empty_attribute_value"
       ~description:"Subject attribute values must not be empty."
       ~source:Cab_br ~level:Must ~nc_type:Illegal_format ~effective:cab_br_date
@@ -208,7 +209,7 @@ let lints : Types.t list =
           List.filter_map
             (fun fact ->
               let name = fact.Ctx.d_name in
-              if not (String.contains name '*') then None
+              if not (exists_char is_star name) then None
               else
                 match fact.Ctx.d_labels with
                 | "*" :: rest when not (List.exists (fun l -> String.contains l '*') rest)

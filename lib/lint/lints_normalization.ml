@@ -7,9 +7,13 @@ open Helpers
 
 (* Flag every A-label whose cached issue list contains [issue]. *)
 let alabel_issue_lint ~name ~description ~source ~effective ~issue ~fmt =
+  let label_has (_, issues) = List.mem issue issues in
+  let fact_has fact = List.exists label_has fact.Ctx.d_alabels in
   mk ~name ~description ~source ~level:Must ~nc_type:Bad_normalization ~is_new:true
     ~effective
     (fun ctx ->
+      if not (List.exists fact_has ctx.Ctx.dns_facts) then Pass
+      else
       let bad =
         List.concat_map
           (fun fact ->

@@ -41,22 +41,28 @@ let counts_by_type t =
 
 (* --- telemetry ------------------------------------------------------ *)
 
-(* One instrument record per lint, resolved once and threaded through
-   the runner as a parallel array: the hot loop (95 lints x every
-   corpus certificate) must only pay float adds, never a
-   name-to-counter lookup.  Per-lint wall clock is sampled (one timed
-   invocation in [time_sample], scaled back up) so the estimate stays
-   useful while the common path skips the clock entirely. *)
+(* One instrument record per lint, resolved once and walked by the
+   runner as an array: the hot loop (95 lints x every corpus
+   certificate) pays one integer [fetch_and_add] per executed check and
+   nothing else — no name-to-counter lookup, no closure, no clock.  The
+   finding records of the two dataless outcomes are preallocated here,
+   so a lint that passes allocates nothing. *)
 type instr = {
+  lint : Types.t;
   invocations : Obs.Counter.t;  (** checks actually run (non-NA) *)
   fail : Obs.Counter.t;
   warn : Obs.Counter.t;
   na : Obs.Counter.t;
   seconds : Obs.Counter.t;      (** sampled cumulative check time *)
-  tick : int Atomic.t;
   breaker : Faults.Breaker.t;
+  passed : Types.finding;       (** [{ lint; status = Pass }] *)
+  skipped : Types.finding;      (** [{ lint; status = Na }] *)
 }
 
+(* Per-lint wall clock is sampled by certificate: one certificate in
+   [time_sample] is timed end to end, with one clock read per lint edge
+   (each read closes one lint and opens the next), and the per-lint
+   deltas are scaled back up. *)
 let time_sample = 8
 
 let instruments =
@@ -85,64 +91,61 @@ let instruments =
               time_sample)
          "unicert_lint_seconds_total"
      in
-     List.map
-       (fun l ->
-         { invocations = mk invocations l; fail = mk fail l; warn = mk warn l;
-           na = mk na l; seconds = mk seconds l; tick = Atomic.make 0;
-           breaker = Faults.Breaker.create l.Types.name })
-       all)
+     Array.of_list
+       (List.map
+          (fun l ->
+            { lint = l; invocations = mk invocations l; fail = mk fail l;
+              warn = mk warn l; na = mk na l; seconds = mk seconds l;
+              breaker = Faults.Breaker.create l.Types.name;
+              passed = { Types.lint = l; status = Types.Pass };
+              skipped = { Types.lint = l; status = Types.Na } })
+          all))
 
-(* The check body, with the fault-injection hook.  [Injector.active]
-   is a single bool read when no injection campaign is armed, so the
-   clean path stays flat. *)
-let invoke (l : Types.t) ctx =
-  if Faults.Injector.active () then Faults.Injector.tick l.Types.name;
+(* Set by the first lint crash, cleared by [reset_faults].  Until a
+   lint has crashed every breaker is closed with no consecutive
+   failures, so the runner skips the breaker reads and writes — two
+   cold cache lines per lint — behind this one hot flag. *)
+let crashed = Atomic.make false
+
+(* The check body, with the fault-injection hook; [inject] is
+   [Injector.active], read once per certificate. *)
+let invoke ~inject (l : Types.t) ctx =
+  if inject then Faults.Injector.tick l.Types.name;
   l.Types.check ctx
 
-let checked ins (l : Types.t) ctx =
-  if Faults.Breaker.tripped ins.breaker then Types.Na
-  else begin
-    let tick = 1 + Atomic.fetch_and_add ins.tick 1 in
-    Obs.Counter.inc ins.invocations;
-    (* Per-lint trace spans are sampled (--trace-sample): 95 lints per
-       certificate would otherwise dominate the ring.  The sampling
-       decision reuses [ins.tick] — this path runs once per lint per
-       certificate, and [sampled_span]'s own per-domain counter is
-       measurably slower at that rate. *)
-    let body () =
-      if tick mod time_sample = 0 then begin
-        let t0 = Unix.gettimeofday () in
-        let status = invoke l ctx in
-        Obs.Counter.add ins.seconds
-          ((Unix.gettimeofday () -. t0) *. float_of_int time_sample);
-        status
-      end
-      else invoke l ctx
-    in
-    match
-      if Obs.Trace.sample_hit tick then
-        Obs.Trace.span ~cat:"lint" l.Types.name body
-      else body ()
-    with
-    | status ->
-        Faults.Breaker.success ins.breaker;
-        (match status with
-        | Types.Fail _ -> Obs.Counter.inc ins.fail
-        | Types.Warn _ -> Obs.Counter.inc ins.warn
-        | Types.Na | Types.Pass -> ());
-        status
-    (* The error boundary: one crashing lint degrades to NA for this
-       certificate instead of killing the run.  Disabled only by the
-       benchmark kill-switch. *)
-    | exception e when Faults.Isolation.enabled () ->
-        Faults.Breaker.failure ins.breaker;
-        Faults.Error.observe
-          (Faults.Error.Lint_crash
-             { lint = l.Types.name;
-               exn_name = Faults.Error.exn_name e;
-               detail = Printexc.to_string e });
-        Types.Na
-  end
+let success ins = if Atomic.get crashed then Faults.Breaker.success ins.breaker
+
+let checked ins ~inject ~traced ctx =
+  let l = ins.lint in
+  Obs.Counter.inc ins.invocations;
+  match
+    if traced then
+      Obs.Trace.span ~cat:"lint" l.Types.name (fun () -> invoke ~inject l ctx)
+    else invoke ~inject l ctx
+  with
+  | Types.Pass ->
+      success ins;
+      ins.passed
+  | Types.Na ->
+      success ins;
+      ins.skipped
+  | (Types.Fail _ | Types.Warn _) as status ->
+      success ins;
+      Obs.Counter.inc
+        (match status with Types.Fail _ -> ins.fail | _ -> ins.warn);
+      { Types.lint = l; status }
+  (* The error boundary: one crashing lint degrades to NA for this
+     certificate instead of killing the run.  Disabled only by the
+     benchmark kill-switch. *)
+  | exception e when Faults.Isolation.enabled () ->
+      Atomic.set crashed true;
+      Faults.Breaker.failure ins.breaker;
+      Faults.Error.observe
+        (Faults.Error.Lint_crash
+           { lint = l.Types.name;
+             exn_name = Faults.Error.exn_name e;
+             detail = Printexc.to_string e });
+      ins.skipped
 
 type lint_obs = {
   lint_name : string;
@@ -154,40 +157,72 @@ type lint_obs = {
 }
 
 let obs_snapshot () =
-  List.map2
-    (fun (l : Types.t) ins ->
-      { lint_name = l.Types.name;
-        invoked = Obs.Counter.value ins.invocations;
-        failed = Obs.Counter.value ins.fail;
-        warned = Obs.Counter.value ins.warn;
-        skipped_na = Obs.Counter.value ins.na;
-        est_seconds = Obs.Counter.value ins.seconds })
-    all (Lazy.force instruments)
+  Array.to_list
+    (Array.map
+       (fun ins ->
+         { lint_name = ins.lint.Types.name;
+           invoked = Obs.Counter.value ins.invocations;
+           failed = Obs.Counter.value ins.fail;
+           warned = Obs.Counter.value ins.warn;
+           skipped_na = Obs.Counter.value ins.na;
+           est_seconds = Obs.Counter.value ins.seconds })
+       (Lazy.force instruments))
 
 (* --- the runner ----------------------------------------------------- *)
 
+(* Per-domain runner state: the certificate tick that drives both the
+   trace sampling and the time sampling, and the last clock edge of a
+   timed certificate (a float array, so storing it does not box).
+   Domain-local, so worker domains never share a written cell. *)
+type domain_state = { mutable tick : int; edge : Float.Array.t }
+
+let domain_state =
+  Domain.DLS.new_key (fun () -> { tick = 0; edge = Float.Array.make 1 0. })
+
 let run_checks ~respect_effective_dates ~include_new ~only ~issued ctx =
-  let wanted =
-    match only with None -> fun _ -> true | Some p -> p
+  let st = Domain.DLS.get domain_state in
+  st.tick <- st.tick + 1;
+  (* Per-lint trace spans are sampled (--trace-sample) by certificate:
+     95 lints per certificate would otherwise dominate the ring. *)
+  let traced = Obs.Trace.sample_hit st.tick in
+  let timed = st.tick mod time_sample = 0 in
+  if timed then Float.Array.set st.edge 0 (Unix.gettimeofday ());
+  let inject = Faults.Injector.active () in
+  let inss = Lazy.force instruments in
+  let n = Array.length inss in
+  (* Non-tail recursion builds the result list in registry order
+     without a reversal, while the checks still run first to last. *)
+  let rec go i =
+    if i = n then []
+    else begin
+      let ins = Array.unsafe_get inss i in
+      let l = ins.lint in
+      if ((not include_new) && l.Types.is_new)
+         || match only with None -> false | Some p -> not (p l)
+      then go (i + 1)
+      else if
+        respect_effective_dates && Asn1.Time.(issued < l.Types.effective_date)
+      then begin
+        Obs.Counter.inc ins.na;
+        let f = ins.skipped in
+        f :: go (i + 1)
+      end
+      else if Atomic.get crashed && Faults.Breaker.tripped ins.breaker then
+        let f = ins.skipped in
+        f :: go (i + 1)
+      else begin
+        let f = checked ins ~inject ~traced ctx in
+        if timed then begin
+          let t = Unix.gettimeofday () in
+          Obs.Counter.add ins.seconds
+            ((t -. Float.Array.get st.edge 0) *. float_of_int time_sample);
+          Float.Array.set st.edge 0 t
+        end;
+        f :: go (i + 1)
+      end
+    end
   in
-  (* Hand-rolled two-list filter_map: this runs once per corpus
-     certificate, so no intermediate option list. *)
-  let rec go ls inss acc =
-    match (ls, inss) with
-    | [], _ -> List.rev acc
-    | (l : Types.t) :: ls, ins :: inss ->
-        if ((not include_new) && l.Types.is_new) || not (wanted l) then
-          go ls inss acc
-        else if
-          respect_effective_dates && Asn1.Time.(issued < l.Types.effective_date)
-        then begin
-          Obs.Counter.inc ins.na;
-          go ls inss ({ Types.lint = l; status = Types.Na } :: acc)
-        end
-        else go ls inss ({ Types.lint = l; status = checked ins l ctx } :: acc)
-    | _ :: _, [] -> assert false
-  in
-  go all (Lazy.force instruments) []
+  go 0
 
 let run_ctx ?(respect_effective_dates = true) ?(include_new = true) ?only
     ~issued ctx =
@@ -206,26 +241,28 @@ let noncompliant ?respect_effective_dates ?include_new ~issued cert =
 
 (* --- fault accounting ----------------------------------------------- *)
 
+let breakers () =
+  Array.to_list (Array.map (fun ins -> ins.breaker) (Lazy.force instruments))
+
 let fault_snapshot () =
   List.filter_map
-    (fun ins ->
-      let b = ins.breaker in
+    (fun b ->
       if Faults.Breaker.crashes b > 0 then
         Some (Faults.Breaker.name b, Faults.Breaker.crashes b, Faults.Breaker.tripped b)
       else None)
-    (Lazy.force instruments)
+    (breakers ())
 
 let degraded () =
   List.filter_map
-    (fun ins ->
-      if Faults.Breaker.tripped ins.breaker then
-        Some (Faults.Breaker.name ins.breaker, Faults.Breaker.crashes ins.breaker)
+    (fun b ->
+      if Faults.Breaker.tripped b then
+        Some (Faults.Breaker.name b, Faults.Breaker.crashes b)
       else None)
-    (Lazy.force instruments)
+    (breakers ())
 
 let set_breaker_threshold n =
-  List.iter (fun ins -> Faults.Breaker.set_threshold ins.breaker n)
-    (Lazy.force instruments)
+  List.iter (fun b -> Faults.Breaker.set_threshold b n) (breakers ())
 
 let reset_faults () =
-  List.iter (fun ins -> Faults.Breaker.reset ins.breaker) (Lazy.force instruments)
+  List.iter Faults.Breaker.reset (breakers ());
+  Atomic.set crashed false

@@ -1,27 +1,33 @@
-(* The value lives in a [float Atomic.t]: hot paths increment from
-   several domains at once (the sharded pipeline), so the update must
-   be a CAS loop rather than an in-place store — a plain mutable cell
-   silently loses increments under contention.  Counts stay exact:
-   float adds of small integers are associative-enough (exact up to
-   2^53), and the CAS retries until the add lands. *)
-type t = { name : string; help : string; cell : float Atomic.t }
+(* Hot paths increment from several domains at once (the sharded
+   pipeline), so updates must be atomic — a plain mutable cell silently
+   loses increments under contention.  The value is split in two cells:
+   whole increments ([inc]) are one [fetch_and_add] on an int, which
+   neither loops nor boxes a float, and fractional amounts ([add]) go
+   through a CAS loop on a float.  Counts stay exact: the int half is
+   exact outright, and float adds of small integers are exact up to
+   2^53. *)
+type t = { name : string; help : string; count : int Atomic.t; frac : float Atomic.t }
 
-let make ?(help = "") name = { name; help; cell = Atomic.make 0.0 }
+let make ?(help = "") name =
+  { name; help; count = Atomic.make 0; frac = Atomic.make 0.0 }
 
 let rec atomic_add cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (old +. x)) then atomic_add cell x
 
-let inc t = atomic_add t.cell 1.0
+let inc t = ignore (Atomic.fetch_and_add t.count 1)
 
 let add t x =
   if x < 0.0 then invalid_arg "Obs.Counter.add: negative increment";
-  atomic_add t.cell x
+  atomic_add t.frac x
 
-let value t = Atomic.get t.cell
+let value t = float_of_int (Atomic.get t.count) +. Atomic.get t.frac
 let name t = t.name
 let help t = t.help
-let reset t = Atomic.set t.cell 0.0
+
+let reset t =
+  Atomic.set t.count 0;
+  Atomic.set t.frac 0.0
 
 let make_child = make
 

@@ -1,7 +1,7 @@
 (** Monotonically increasing counters (Prometheus semantics: a float
-    that only ever grows).  Increments are atomic (CAS loop), so
-    counters stay exact when several pipeline domains share one
-    handle. *)
+    that only ever grows).  Increments are atomic, so counters stay
+    exact when several pipeline domains share one handle; {!inc} is a
+    single integer [fetch_and_add]. *)
 
 type t
 
@@ -10,7 +10,7 @@ val make : ?help:string -> string -> t
     {!Registry.counter} to create-and-register in one step. *)
 
 val inc : t -> unit
-(** Add 1. *)
+(** Add 1 (one atomic integer add; allocates nothing). *)
 
 val add : t -> float -> unit
 (** Add a non-negative amount.  @raise Invalid_argument on a negative

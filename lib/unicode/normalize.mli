@@ -36,7 +36,17 @@ val to_nfc : Cp.t array -> Cp.t array
 (** [to_nfc cps] normalizes to NFC. *)
 
 val is_nfc : Cp.t array -> bool
-(** [is_nfc cps] is [true] iff [cps] is already in NFC. *)
+(** [is_nfc cps] is [true] iff [cps] is already in NFC.  A string made
+    only of NFC-stable starters ({!nfc_stable}) answers from one table
+    load per code point and allocates nothing; any other string takes
+    [to_nfc cps = cps]. *)
+
+val nfc_stable : Cp.t -> bool
+(** [nfc_stable cp] is [true] when [cp] is an NFC-stable starter (the
+    UAX #15 quick check restricted to starters): combining class 0, never
+    the second element of a composition (Hangul V/T jamo included), and
+    either no decomposition or one that starts with a stable starter and
+    recomposes to [cp].  Always [false] outside the BMP. *)
 
 val utf8_to_nfc : string -> string
 (** [utf8_to_nfc s] decodes UTF-8 (replacing malformed sequences),

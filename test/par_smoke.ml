@@ -67,19 +67,19 @@ let expected =
     ("fetch/clean/jobs=1/none", "9f9b799f737e66fd419d3eddf754873b26ad7a2b56f847c9a3506032475f3019");
     ("fetch/clean/jobs=1/cold", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
     ("fetch/clean/jobs=1/warm", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
-    ("fetch/clean/jobs=1/incremental", "4c2093735194aeaa619b6367ea3d287ae8b44eebb2d3233e20303270d30dcf89");
+    ("fetch/clean/jobs=1/incremental", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
     ("fetch/clean/jobs=2/none", "9f9b799f737e66fd419d3eddf754873b26ad7a2b56f847c9a3506032475f3019");
     ("fetch/clean/jobs=2/cold", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
     ("fetch/clean/jobs=2/warm", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
-    ("fetch/clean/jobs=2/incremental", "4c2093735194aeaa619b6367ea3d287ae8b44eebb2d3233e20303270d30dcf89");
+    ("fetch/clean/jobs=2/incremental", "a1306162e9b74fbd1d1c34d16145acd7cedf55c4b8d28e31ca667e39aa7d5d7b");
     ("fetch/corrupt/jobs=1/none", "51b8197afdbce2b137eb2933791163aaa0d4304b7cd711f2e6e2fb4cd7a26955");
     ("fetch/corrupt/jobs=1/cold", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
     ("fetch/corrupt/jobs=1/warm", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
-    ("fetch/corrupt/jobs=1/incremental", "51ef2f5fc6ad73d4a919e28f22a2cc376c557730c2819fa09ca132d79b9361ff");
+    ("fetch/corrupt/jobs=1/incremental", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
     ("fetch/corrupt/jobs=2/none", "51b8197afdbce2b137eb2933791163aaa0d4304b7cd711f2e6e2fb4cd7a26955");
     ("fetch/corrupt/jobs=2/cold", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
     ("fetch/corrupt/jobs=2/warm", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
-    ("fetch/corrupt/jobs=2/incremental", "51ef2f5fc6ad73d4a919e28f22a2cc376c557730c2819fa09ca132d79b9361ff");
+    ("fetch/corrupt/jobs=2/incremental", "ef3ca517e69f242f3e40f87ed5b5b8c1fd4a671207754834b33bfc8eaa32dee5");
   ]
 
 let tmp name =

@@ -21,7 +21,11 @@
      O(corpus);
    - poll: a {!Ctlog.Fetch.poll} of 64 new entries on a single-log feed
      that has already delivered 4096 allocates at most 1.2x the same
-     poll after 64 — the poll is O(page), not O(history).
+     poll after 64 — the poll is O(page), not O(history);
+   - lint: building the fact table ({!Lint.Ctx.of_cert}) costs at most
+     1400 words per certificate and running the 95 lints over it
+     ({!Lint.Registry.run_ctx}) at most 1000 — absolute budgets, since
+     a lint that passes should allocate nothing.
 
    The cold store pass and the fetch drift by a fraction of a word per
    certificate between runs, so gates compare ratios, never exact
@@ -146,6 +150,27 @@ let poll_words ~history =
   end;
   words
 
+(* Minor words per certificate of the lint layer's two halves, over
+   the same certificates the pipeline passes analyze, linted the way
+   the engine lints them (no effective-date gating). *)
+let lint_words () =
+  let entries = Array.init scale (fun i -> Ctlog.Dataset.generate_at ~seed i) in
+  let ctx_words = ref 0. and run_words = ref 0. in
+  Array.iter
+    (fun (e : Ctlog.Dataset.entry) ->
+      let w0 = Gc.minor_words () in
+      let ctx = Sys.opaque_identity (Lint.Ctx.of_cert e.Ctlog.Dataset.cert) in
+      let w1 = Gc.minor_words () in
+      ignore
+        (Sys.opaque_identity
+           (Lint.Registry.run_ctx ~respect_effective_dates:false
+              ~issued:e.Ctlog.Dataset.issued ctx));
+      let w2 = Gc.minor_words () in
+      ctx_words := !ctx_words +. (w1 -. w0);
+      run_words := !run_words +. (w2 -. w1))
+    entries;
+  (!ctx_words /. float_of_int scale, !run_words /. float_of_int scale)
+
 let () =
   Obs.Progress.set_override (Some false);
   (* Force lazy instrument tables and lint registries outside the
@@ -205,6 +230,16 @@ let () =
       (Printf.sprintf "64 entries after 4096 %.0f / after 64 %.0f words"
          after_history after_page)
     (after_history /. after_page) (`At_most 1.2);
+
+  let ctx_words, run_words = lint_words () in
+  let ctx_budget = 1400. and run_budget = 1000. in
+  let within = ctx_words <= ctx_budget && run_words <= run_budget in
+  Printf.printf
+    "speed-smoke: %-8s ctx %.1f w/cert (budget <= %.0f), run %.1f w/cert \
+     (budget <= %.0f) %s\n"
+    "lint" ctx_words ctx_budget run_words run_budget
+    (if within then "ok" else "FAIL");
+  if not within then incr failures;
 
   if !failures > 0 then begin
     Printf.printf "speed-smoke: %d gate(s) failed\n" !failures;

@@ -52,10 +52,20 @@ let label_gen =
       array_size (int_range 1 20)
         (frequency [ (3, int_range 0x61 0x7A); (2, scalar_nonascii) ]))
 
+(* [encodes_to] compares in place what [encode] builds: it accepts the
+   encoding, and rejects the encoding one character short, one
+   character longer and with its last character changed. *)
 let prop_punycode_roundtrip =
   QCheck.Test.make ~name:"punycode roundtrip" ~count:500 label_gen (fun cps ->
       match Idna.Punycode.encode cps with
-      | Ok body -> Idna.Punycode.decode body = Ok cps
+      | Ok body ->
+          let n = String.length body in
+          let last = if body.[n - 1] = 'a' then "b" else "a" in
+          Idna.Punycode.decode body = Ok cps
+          && Idna.Punycode.encodes_to cps body = Ok true
+          && Idna.Punycode.encodes_to cps (String.sub body 0 (n - 1)) = Ok false
+          && Idna.Punycode.encodes_to cps (body ^ "a") = Ok false
+          && Idna.Punycode.encodes_to cps (String.sub body 0 (n - 1) ^ last) = Ok false
       | Error _ -> false)
 
 (* --- DNS syntax ------------------------------------------------------ *)

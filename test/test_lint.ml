@@ -122,6 +122,125 @@ let test_flaw_ground_truth () =
         [ 1; 2; 3 ])
     Ctlog.Flaws.all
 
+(* A certificate for the lints no flaw fixture fires: [subject] and
+   [san] as given, plus extra [extensions]. *)
+let custom_cert ?(serial = "\x05\x11") ?(extensions = []) subject san =
+  let kp = X509.Certificate.mock_keypair ~seed:"detail-ca" () in
+  let tbs =
+    X509.Certificate.make_tbs ~serial
+      ~issuer:(X509.Dn.of_list [ (X509.Attr.Organization_name, "Detail CA") ])
+      ~subject:(X509.Dn.single subject)
+      ~not_before:(Asn1.Time.make 2025 1 1) ~not_after:(Asn1.Time.make 2025 4 1)
+      ~spki:(X509.Certificate.keypair_spki kp)
+      ~sig_alg:X509.Certificate.Oids.mock_signature
+      ~extensions:(X509.Extension.subject_alt_name san :: extensions)
+      ()
+  in
+  X509.Certificate.sign kp tbs
+
+let cn = X509.Dn.atv X509.Attr.Common_name "d.example.com"
+let dns d = X509.General_name.Dns_name d
+
+(* The detail strings of each lint whose pass path builds nothing,
+   pinned on the fixture that fires it: (label, certificate, lint,
+   details), recorded before the pass paths were rewritten. *)
+let detail_fixtures =
+  let flaw f () = cert_with_flaw 1 f in
+  [ ("cn-not-in-san", flaw Ctlog.Flaws.Cn_not_in_san, "w_cab_subject_common_name_not_in_san",
+     [ "CN \"gt.example.com\" not present in SAN" ]);
+    ("duplicate-cn", flaw Ctlog.Flaws.Duplicate_cn, "e_subject_duplicate_attribute",
+     [ "commonName appears 2 times" ]);
+    ("unicode-dnsname", flaw Ctlog.Flaws.Unicode_dnsname, "e_ext_san_dns_contain_unpermitted_unichar",
+     [ "dNSName \"caf\\195\\169.example.com\" contains U+00C3";
+       "dNSName \"caf\\195\\169.example.com\" contains U+00A9" ]);
+    ("unicode-dnsname", flaw Ctlog.Flaws.Unicode_dnsname, "e_ext_san_dnsname_not_ia5",
+     [ "SAN dNSName dNSName byte 0xC3";
+       "SAN dNSName dNSName byte 0xA9" ]);
+    ("bad-dns-char", flaw Ctlog.Flaws.Bad_dns_char, "e_dnsname_contains_whitespace",
+     [ "\"bad char.example.com\" contains whitespace";
+       "\"bad char.example.com\" contains whitespace" ]);
+    ("nonnfc-alabel", flaw Ctlog.Flaws.Nonnfc_alabel, "e_rfc_dns_idn_not_nfc",
+     [ "label \"xn--ecole-6ed\" decodes to a non-NFC string";
+       "label \"xn--ecole-6ed\" decodes to a non-NFC string" ]);
+    ("malformed-alabel", flaw Ctlog.Flaws.Malformed_alabel, "e_rfc_dns_idn_malformed_unicode",
+     [ "label \"xn--ab_c\": invalid punycode digit '_'";
+       "label \"xn--ab_c\": invalid punycode digit '_'" ]);
+    ("unpermitted-alabel", flaw Ctlog.Flaws.Unpermitted_alabel, "e_rfc_dns_idn_a2u_unpermitted_unichar",
+     [ "label \"xn--shop-y76a\" decodes to unpermitted U+200B";
+       "label \"xn--shop-y76a\" decodes to unpermitted U+200B" ]);
+    ("control-char-in-dn", flaw Ctlog.Flaws.Control_char_in_dn, "e_rfc_subject_dn_not_printable_characters",
+     [ "localityName contains U+001B" ]);
+    ("control-char-in-dn", flaw Ctlog.Flaws.Control_char_in_dn, "e_utf8string_control_characters",
+     [ "localityName UTF8String contains U+001B" ]);
+    ("del-in-dn", flaw Ctlog.Flaws.Del_in_dn, "w_subject_dn_del_character",
+     [ "localityName contains U+007F";
+       "localityName contains U+007F" ]);
+    ("bidi-in-cn", flaw Ctlog.Flaws.Bidi_in_cn, "w_subject_dn_bidi_controls",
+     [ "commonName contains U+202E" ]);
+    ("bidi-in-cn", flaw Ctlog.Flaws.Bidi_in_cn, "w_subject_dn_invisible_characters",
+     [ "commonName contains U+202E" ]);
+    ("replacement-char", flaw Ctlog.Flaws.Replacement_char, "w_subject_dn_replacement_character",
+     [ "organizationName contains U+FFFD" ]);
+    ("long-cn", flaw Ctlog.Flaws.Long_cn, "e_subject_common_name_max_length",
+     [ "commonName has 88 characters (max 64)" ]);
+    ("wrong-time-form", flaw Ctlog.Flaws.Wrong_time_form, "e_validity_time_wrong_form",
+     [ "notBefore uses GeneralizedTime for a pre-2050 date" ]);
+    ("deprecated-encoding", flaw Ctlog.Flaws.Deprecated_encoding, "e_subject_locality_not_printable_or_utf8",
+     [ "localityName encoded as TeletexString" ]);
+    ("bmp-odd-bytes", flaw Ctlog.Flaws.Bmp_odd_bytes, "e_subject_organization_not_printable_or_utf8",
+     [ "organizationName encoded as BMPString" ]);
+    ("mixed-ou",
+     (fun () ->
+       custom_cert
+         [ X509.Dn.atv ~st:Asn1.Str_type.Printable_string X509.Attr.Organizational_unit_name "Ops";
+           X509.Dn.atv ~st:Asn1.Str_type.Utf8_string X509.Attr.Organizational_unit_name "Dev"; cn ]
+         [ dns "d.example.com" ]),
+     "w_subject_attr_mixed_encodings",
+     [ "organizationalUnitName uses mixed string types" ]);
+    ("bad-wildcards",
+     (fun () -> custom_cert [ cn ] [ dns "d.example.com"; dns "a*.example.com"; dns "*.*.example.com" ]),
+     "e_dnsname_wildcard_malformed",
+     [ "\"a*.example.com\" uses a malformed wildcard";
+       "\"*.*.example.com\" uses a malformed wildcard" ]);
+    ("aia-non-ascii",
+     (fun () ->
+       custom_cert [ cn ] [ dns "d.example.com" ]
+         ~extensions:
+           [ X509.Extension.authority_info_access
+               [ (X509.Extension.Oids.ocsp, X509.General_name.Uri "http://ocsp.ex\xc3\xa4mple.com") ] ]),
+     "e_ext_aia_location_not_ia5",
+     [ "AIA accessLocation URI byte 0xC3";
+       "AIA accessLocation URI byte 0xA4" ]);
+    ("negative-serial",
+     (fun () -> custom_cert ~serial:"\x80\x01" [ cn ] [ dns "d.example.com" ]),
+     "e_serial_number_not_positive",
+     [ "serial is zero or negative" ]);
+    ("noncanonical-alabel",
+     (fun () -> custom_cert [ cn ] [ dns "d.example.com"; dns "xn---ls8h.example.com" ]),
+     "e_rfc_dns_idn_noncanonical_alabel",
+     [ "label \"xn---ls8h\" is not canonical Punycode" ]) ]
+
+let details_of lint cert =
+  let cert =
+    match X509.Certificate.parse cert.X509.Certificate.der with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "%s: reparse failed: %s" lint (Faults.Error.to_string e)
+  in
+  match
+    List.find
+      (fun (f : Lint.finding) -> f.Lint.lint.Lint.name = lint)
+      (Lint.Registry.run ~respect_effective_dates:false ~issued:(Asn1.Time.make 2025 1 1) cert)
+  with
+  | { Lint.status = Lint.Fail d | Lint.Warn d; _ } -> d
+  | { Lint.status = Lint.Pass | Lint.Na; _ } -> []
+
+let test_detail_strings () =
+  List.iter
+    (fun (label, cert, lint, expected) ->
+      check (Alcotest.list Alcotest.string) (label ^ " " ^ lint) expected
+        (details_of lint (cert ())))
+    detail_fixtures
+
 let test_clean_cert_compliant () =
   let kp = X509.Certificate.mock_keypair ~seed:"clean-ca" () in
   let tbs =
@@ -267,12 +386,77 @@ let test_obs_instrumentation () =
     (float_of_int (List.length nc))
     (delta (fun o -> o.Lint.Registry.failed +. o.Lint.Registry.warned))
 
+(* The per-lint counters stay exact when worker domains share them: a
+   pipeline pass bumps each lint's invocation counter once per
+   certificate (the engine lints without date gating, so no NA skips),
+   and its fail/warn counters once per certificate it flags — the same
+   counts at --jobs 1 and --jobs 2, equal to linting the corpus
+   directly. *)
+let test_obs_counts_across_jobs () =
+  let scale = 240 and seed = 4 in
+  let counts () =
+    List.map
+      (fun (o : Lint.Registry.lint_obs) ->
+        ( o.Lint.Registry.lint_name,
+          ( o.Lint.Registry.invoked,
+            o.Lint.Registry.failed,
+            o.Lint.Registry.warned,
+            o.Lint.Registry.skipped_na ) ))
+      (Lint.Registry.obs_snapshot ())
+  in
+  let expected =
+    let tally = Hashtbl.create 128 in
+    for i = 0 to scale - 1 do
+      let e = Ctlog.Dataset.generate_at ~seed i in
+      List.iter
+        (fun (f : Lint.finding) ->
+          let name = f.Lint.lint.Lint.name in
+          let fails, warns = Option.value ~default:(0, 0) (Hashtbl.find_opt tally name) in
+          Hashtbl.replace tally name
+            (match f.Lint.status with
+            | Lint.Fail _ -> (fails + 1, warns)
+            | Lint.Warn _ -> (fails, warns + 1)
+            | Lint.Pass | Lint.Na -> (fails, warns)))
+        (Lint.Registry.run ~respect_effective_dates:false ~issued:e.Ctlog.Dataset.issued
+           e.Ctlog.Dataset.cert)
+    done;
+    List.map
+      (fun (l : Lint.t) ->
+        let fails, warns = Hashtbl.find tally l.Lint.name in
+        (l.Lint.name, (float_of_int scale, float_of_int fails, float_of_int warns, 0.)))
+      Lint.Registry.all
+  in
+  let delta_at jobs =
+    let before = counts () in
+    let t = Unicert.Pipeline.run ~scale ~seed ~jobs () in
+    check Alcotest.int (Printf.sprintf "jobs=%d analyzed every certificate" jobs) scale
+      t.Unicert.Pipeline.total;
+    List.map2
+      (fun (name, (i1, f1, w1, n1)) (_, (i0, f0, w0, n0)) ->
+        (name, (i1 -. i0, f1 -. f0, w1 -. w0, n1 -. n0)))
+      (counts ()) before
+  in
+  let show (name, (i, f, w, n)) = Printf.sprintf "%s %g/%g/%g/%g" name i f w n in
+  let flagged =
+    List.fold_left (fun acc (_, (_, f, w, _)) -> acc +. f +. w) 0. expected
+  in
+  check Alcotest.bool "the corpus has findings" true (flagged > 0.);
+  List.iter
+    (fun jobs ->
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "jobs=%d counter deltas" jobs)
+        (List.map show expected)
+        (List.map show (delta_at jobs)))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "registry counts match Table 1" `Quick test_registry_counts;
     Alcotest.test_case "telemetry tracks execution" `Quick test_obs_instrumentation;
+    Alcotest.test_case "telemetry exact across jobs" `Quick test_obs_counts_across_jobs;
     Alcotest.test_case "registry lookups" `Quick test_registry_lookup;
     Alcotest.test_case "per-flaw ground truth" `Slow test_flaw_ground_truth;
+    Alcotest.test_case "pass-path lints keep their details" `Quick test_detail_strings;
     Alcotest.test_case "clean cert is compliant" `Quick test_clean_cert_compliant;
     Alcotest.test_case "effective date gating" `Quick test_effective_dates;
     Alcotest.test_case "new-lint ablation" `Quick test_include_new_ablation;

@@ -96,7 +96,15 @@ let test_span_nesting () =
   check Alcotest.int "raised span still recorded" 1
     (Obs.Span.count ~registry "raising");
   check (Alcotest.list Alcotest.string) "stack unwound after raise" []
-    (Obs.Span.current ())
+    (Obs.Span.current ());
+  (* Spans cache their resolved histogram per (registry, name): a fresh
+     registry gets its own child, not the first registry's handle. *)
+  let fresh = Obs.Registry.create () in
+  Obs.Span.with_ ~registry:fresh "outer" (fun () -> ());
+  Obs.Span.with_ ~registry:fresh "outer" (fun () -> ());
+  check Alcotest.int "fresh registry counts its own spans" 2
+    (Obs.Span.count ~registry:fresh "outer");
+  check Alcotest.int "first registry untouched" 1 (Obs.Span.count ~registry "outer")
 
 (* --- exporters -------------------------------------------------------- *)
 

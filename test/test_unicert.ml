@@ -167,8 +167,35 @@ let test_pipeline_determinism () =
   check Alcotest.int "same nc" a.Unicert.Pipeline.nc_total b.Unicert.Pipeline.nc_total;
   check Alcotest.int "same idn" a.Unicert.Pipeline.idncerts b.Unicert.Pipeline.idncerts
 
+(* The generate source and the fetch source must analyze a certificate
+   into the same row: both read [is_idn] from the bytes.  Seed 2's
+   indices below are the ones where the generator's draw and the bytes
+   disagree (a flaw added or broke the A-label). *)
+let test_generate_row_is_fetch_row () =
+  List.iter
+    (fun index ->
+      let generated = Ctlog.Dataset.generate_at ~seed:2 index in
+      let fetched =
+        match
+          X509.Certificate.parse generated.Ctlog.Dataset.cert.X509.Certificate.der
+        with
+        | Error _ -> Alcotest.failf "index %d: DER does not parse" index
+        | Ok cert -> (
+            match Ctlog.Dataset.entry_of_cert cert with
+            | Ok e -> e
+            | Error _ -> Alcotest.failf "index %d: entry_of_cert failed" index)
+      in
+      let row e = Unicert.Pipeline.encode_row (Unicert.Pipeline.analyze_entry e ~index) in
+      check Alcotest.bool
+        (Printf.sprintf "index %d is_idn" index)
+        fetched.Ctlog.Dataset.is_idn generated.Ctlog.Dataset.is_idn;
+      check Alcotest.string (Printf.sprintf "index %d row" index) (row fetched)
+        (row generated))
+    [ 1075; 1747; 1770; 3280; 5151; 6212; 7853 ]
+
 let suite =
   [
+    Alcotest.test_case "generate row = fetch row" `Quick test_generate_row_is_fetch_row;
     Alcotest.test_case "unicert classification" `Quick test_classify;
     Alcotest.test_case "unicode fields" `Quick test_unicode_fields;
     Alcotest.test_case "browser rendering" `Quick test_browser_rendering;

@@ -221,6 +221,57 @@ let prop_nfd_nfc_stable =
       Unicode.Normalize.to_nfc (Unicode.Normalize.decompose cps)
       = Unicode.Normalize.to_nfc cps)
 
+(* The quick check answers [true] without running [to_nfc] whenever
+   every code point is a stable starter, so a wrongly stable entry
+   shows as [is_nfc] disagreeing with the full check.  Every BMP code
+   point is tried alone and after each starter that begins a
+   composition (Latin, Greek, a Hangul L and an LV syllable), where a
+   code point that composes with its predecessor would be caught. *)
+let test_nfc_quick_check_bmp () =
+  let full cps = Unicode.Normalize.to_nfc cps = cps in
+  let firsts = [ 0x41; 0x65; 0xC2; 0x391; 0x415; 0x1100; 0xAC00; 0x1EA0 ] in
+  for cp = 0 to 0xFFFF do
+    let agree cps =
+      if Unicode.Normalize.is_nfc cps <> full cps then
+        Alcotest.failf "is_nfc disagrees with to_nfc on [%s]"
+          (String.concat ";" (List.map (Printf.sprintf "U+%04X") (Array.to_list cps)))
+    in
+    agree [| cp |];
+    List.iter (fun first -> agree [| first; cp |]) firsts
+  done;
+  check Alcotest.bool "ASCII stable" true (Unicode.Normalize.nfc_stable 0x41);
+  check Alcotest.bool "combining acute not stable" false (Unicode.Normalize.nfc_stable 0x301);
+  check Alcotest.bool "Hangul V not stable" false (Unicode.Normalize.nfc_stable 0x1161);
+  check Alcotest.bool "Hangul T not stable" false (Unicode.Normalize.nfc_stable 0x11A8);
+  check Alcotest.bool "Angstrom sign not stable" false (Unicode.Normalize.nfc_stable 0x212B);
+  check Alcotest.bool "precomposed e-acute stable" true (Unicode.Normalize.nfc_stable 0xE9);
+  check Alcotest.bool "Hangul LV stable" true (Unicode.Normalize.nfc_stable 0xAC00);
+  check Alcotest.bool "outside the BMP not stable" false (Unicode.Normalize.nfc_stable 0x1F600)
+
+(* Strings mixing the code points where NFC acts: precomposed Latin,
+   Greek and Cyrillic, combining marks, Hangul L/V/T jamo and
+   syllables, Indic two-part vowels and canonical singletons. *)
+let nfc_pool_cp =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_range 0x41 0x7A); (3, int_range 0xC0 0x17F);
+        (1, int_range 0x386 0x3CE); (1, int_range 0x400 0x45F);
+        (3, int_range 0x300 0x36F); (1, int_range 0x483 0x487);
+        (2, int_range 0x1100 0x1112); (2, int_range 0x1161 0x1175);
+        (2, int_range 0x11A7 0x11C2); (2, int_range 0xAC00 0xAC60);
+        (1, int_range 0x1E00 0x1EF9);
+        (2, oneofl [ 0x0B47; 0x0B3E; 0x0B56; 0x0B57; 0x0B4B; 0x0B4C; 0x0BC6;
+                     0x0BBE; 0x0BCA; 0x0D46; 0x0D3E; 0x0D4A; 0x0DD9; 0x0DCF;
+                     0x0DDC ]);
+        (1, oneofl [ 0x212A; 0x212B; 0x2126; 0x37E; 0x387 ]) ])
+
+let prop_nfc_quick_check =
+  QCheck.Test.make ~name:"NFC quick check equals the full check" ~count:2000
+    (QCheck.make
+       ~print:(fun a -> String.concat ";" (List.map string_of_int (Array.to_list a)))
+       QCheck.Gen.(array_size (int_range 0 8) nfc_pool_cp))
+    (fun cps -> Unicode.Normalize.is_nfc cps = (Unicode.Normalize.to_nfc cps = cps))
+
 (* --- confusables ---------------------------------------------------- *)
 
 let test_confusables () =
@@ -304,6 +355,7 @@ let suite =
     Alcotest.test_case "nfc vietnamese" `Quick test_nfc_vietnamese;
     Alcotest.test_case "nfc canonical ordering" `Quick test_nfc_ordering;
     Alcotest.test_case "nfc blocking" `Quick test_nfc_blocked;
+    Alcotest.test_case "nfc quick check over the BMP" `Quick test_nfc_quick_check_bmp;
     Alcotest.test_case "confusables" `Quick test_confusables;
     Alcotest.test_case "escape helpers" `Quick test_escape_helpers;
     Alcotest.test_case "classify" `Quick test_classify;
@@ -316,4 +368,5 @@ let suite =
     qtest prop_block_find;
     qtest prop_nfc_idempotent;
     qtest prop_nfd_nfc_stable;
+    qtest prop_nfc_quick_check;
   ]
